@@ -19,13 +19,13 @@ from .model import (  # noqa: F401
     Grid,
     ModelParams,
     ScenarioConfig,
+    SchemeOptions,
     State,
     threshold_check,
     validate_initial_data,
 )
 from .solver import (  # noqa: F401
     RunResult,
-    SchemeOptions,
     rhs,
     run,
     stable_dt,

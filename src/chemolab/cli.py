@@ -105,15 +105,13 @@ def cmd_run(args) -> int:
         if not args.quiet:
             print(msg)
 
-    w0 = config.initial.w.sample(config.grid)
-    advisory = threshold_check(config.params, float(np.max(w0)), config.grid.dim)
+    result = run(config)
+    advisory = threshold_check(config.params, result.context.w0_max, config.grid.dim)
     say(
         f"threshold advisory: max(m1, m2) = {max(advisory.m1, advisory.m2):.6g} "
         f"vs bound {advisory.bound:.6g} -> "
         f"{'within' if advisory.within else 'ABOVE (run proceeds anyway)'}"
     )
-
-    result = run(config)
     if result.context.weight_note:
         say(f"weight note: {result.context.weight_note}")
 
@@ -241,14 +239,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", default=".", help="output directory (env CHEMOLAB_OUT overrides)")
-        p.add_argument("--quiet", action="store_true", help="suppress progress messages")
-        p.add_argument("--seed", type=int, default=None, help="reserved, unused")
-
     p_run = sub.add_parser("run", help="integrate a scenario and emit diagnostics")
     p_run.add_argument("--config", required=True, help="scenario config JSON")
-    common(p_run)
+    p_run.add_argument("--out", default=".", help="output directory (env CHEMOLAB_OUT overrides)")
+    p_run.add_argument("--quiet", action="store_true", help="suppress progress messages")
     p_run.set_defaults(func=cmd_run)
 
     p_thr = sub.add_parser("threshold", help="boundedness threshold report")
@@ -256,7 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--chi1", type=float, required=True)
     p_thr.add_argument("--chi2", type=float, required=True)
     p_thr.add_argument("--w0max", type=float, required=True, help="||w0||_inf")
-    common(p_thr)
     p_thr.set_defaults(func=cmd_threshold)
 
     p_aw = sub.add_parser("analyze-weight", help="weight function sample table")
@@ -264,13 +257,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_aw.add_argument("--eps", type=float, required=True)
     p_aw.add_argument("--m", type=float, required=True, help="signal amplitude bound")
     p_aw.add_argument("--samples", type=int, default=1000)
-    common(p_aw)
     p_aw.set_defaults(func=cmd_analyze_weight)
 
     p_cv = sub.add_parser("convergence", help="grid-refinement order study")
     p_cv.add_argument("--config", required=True, help="base scenario config JSON")
     p_cv.add_argument("--levels", type=int, default=3)
-    common(p_cv)
     p_cv.set_defaults(func=cmd_convergence)
 
     return parser

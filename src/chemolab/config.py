@@ -10,6 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import MISSING, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
@@ -53,11 +55,46 @@ def _reject_unknown(table: dict, allowed: set[str], path: str) -> None:
             raise ConfigError(f"unknown key {path}.{key}" if path else f"unknown key {key}")
 
 
-def _number(table: dict, key: str, path: str, default=None) -> float:
-    if key not in table:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing key {path}.{key}")
+# (section, key) -> ScenarioConfig attribute, dotted for params and grid.
+# Defaults live in ScenarioConfig; the keys listed in _OPTIONAL may be left
+# out, every other key of a section that is present is required.
+_SCHEMA = {
+    ("params", "chi1"): "params.chi1",
+    ("params", "chi2"): "params.chi2",
+    ("params", "alpha"): "params.alpha",
+    ("params", "beta"): "params.beta",
+    ("grid", "lengths"): "grid.lengths",
+    ("grid", "cells"): "grid.cells",
+    ("time", "t_end"): "t_end",
+    ("time", "dt_max"): "dt_max",
+    ("time", "cfl_safety"): "cfl_safety",
+    ("output", "every"): "output_every",
+    ("scheme", "advection"): "scheme",
+    ("scheme", "blowup_linf"): "blowup_linf",
+    ("weight", "p"): "weight_p",
+    ("weight", "eps"): "weight_eps",
+}
+_OPTIONAL = {
+    ("time", "dt_max"),
+    ("time", "cfl_safety"),
+    ("output", "every"),
+    ("scheme", "advection"),
+    ("scheme", "blowup_linf"),
+}
+_SECTIONS = ("params", "grid", "initial", "time", "output", "scheme", "weight")
+_REQUIRED_SECTIONS = ("params", "grid", "initial", "time")
+
+# initial-field kind -> class; a field's keys are the class's fields, and
+# those with a class default are optional.
+_KINDS = {
+    "constant": ConstantInit,
+    "cosine_bump": CosineBumpInit,
+    "gaussian": GaussianInit,
+    "file": FileInit,
+}
+
+
+def _number(table: dict, key: str, path: str) -> float:
     value = table[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key} must be a number")
@@ -66,51 +103,62 @@ def _number(table: dict, key: str, path: str, default=None) -> float:
     return float(value)
 
 
+def _typed(kind, what: str):
+    def read(table: dict, key: str, path: str):
+        value = table[key]
+        if not isinstance(value, kind):
+            raise ConfigError(f"{path}.{key} must be {what}")
+        return value
+
+    return read
+
+
+def _typed_list(kind, what: str, cast):
+    def read(table: dict, key: str, path: str) -> tuple:
+        value = table[key]
+        if not isinstance(value, list) or not all(
+            isinstance(x, kind) and not isinstance(x, bool) for x in value
+        ):
+            raise ConfigError(f"{path}.{key} must be a list of {what}")
+        return tuple(cast(x) for x in value)
+
+    return read
+
+
+# Keys that are not plain numbers, by key name; Grid checks the list entries.
+_READERS = {
+    "lengths": _typed(list, "a list"),
+    "cells": _typed(list, "a list"),
+    "advection": _typed(str, "a string"),
+    "path": _typed(str, "a string"),
+    "modes": _typed_list(int, "integers", int),
+    "center": _typed_list((int, float), "numbers", float),
+}
+
+
+def _read(table: dict, key: str, path: str):
+    return _READERS.get(key, _number)(table, key, path)
+
+
 def _parse_field(raw: Any, path: str, config_dir: Path) -> InitialField:
     table = _require_table(raw, path)
     kind = table.get("kind")
-    if kind == "constant":
-        _reject_unknown(table, {"kind", "value"}, path)
-        return ConstantInit(value=_number(table, "value", path))
-    if kind == "cosine_bump":
-        _reject_unknown(table, {"kind", "base", "amplitude", "modes"}, path)
-        modes = table.get("modes", [])
-        if not isinstance(modes, list) or not all(
-            isinstance(k, int) and not isinstance(k, bool) for k in modes
-        ):
-            raise ConfigError(f"{path}.modes must be a list of integers")
-        return CosineBumpInit(
-            base=_number(table, "base", path),
-            amplitude=_number(table, "amplitude", path),
-            modes=tuple(modes),
-        )
-    if kind == "gaussian":
-        _reject_unknown(
-            table, {"kind", "center", "width", "amplitude", "floor"}, path
-        )
-        center = table.get("center")
-        if not isinstance(center, list) or not all(
-            isinstance(c, (int, float)) and not isinstance(c, bool) for c in center
-        ):
-            raise ConfigError(f"{path}.center must be a list of numbers")
-        return GaussianInit(
-            center=tuple(float(c) for c in center),
-            width=_number(table, "width", path),
-            amplitude=_number(table, "amplitude", path),
-            floor=_number(table, "floor", path, default=0.0),
-        )
-    if kind == "file":
-        _reject_unknown(table, {"kind", "path"}, path)
-        raw_path = table.get("path")
-        if not isinstance(raw_path, str):
-            raise ConfigError(f"{path}.path must be a string")
-        resolved = Path(raw_path)
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"{path}.kind must be one of {', '.join(_KINDS)}")
+    _reject_unknown(table, {"kind"} | {f.name for f in fields(cls)}, path)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in table:
+            kwargs[f.name] = _read(table, f.name, path)
+        elif f.default is MISSING:
+            raise ConfigError(f"missing key {path}.{f.name}")
+    if cls is FileInit:
+        resolved = Path(kwargs["path"])
         if not resolved.is_absolute():
             resolved = config_dir / resolved
-        return FileInit(path=str(resolved))
-    raise ConfigError(
-        f"{path}.kind must be one of constant, cosine_bump, gaussian, file"
-    )
+        kwargs["path"] = str(resolved)
+    return cls(**kwargs)
 
 
 def parse_config(path) -> ScenarioConfig:
@@ -130,39 +178,37 @@ def parse_config(path) -> ScenarioConfig:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
     root = _require_table(root, "config")
-    _reject_unknown(
-        root, {"params", "grid", "initial", "time", "output", "scheme", "weight"}, ""
-    )
-    for required in ("params", "grid", "initial", "time"):
+    _reject_unknown(root, set(_SECTIONS), "")
+    for required in _REQUIRED_SECTIONS:
         if required not in root:
             raise ConfigError(f"missing section {required}")
 
-    p = _require_table(root["params"], "params")
-    _reject_unknown(p, {"chi1", "chi2", "alpha", "beta"}, "params")
+    # owner ("" for ScenarioConfig itself, "params", "grid") -> {name: value}
+    values: dict[str, dict[str, Any]] = {"": {}, "params": {}, "grid": {}}
+    for section in _SECTIONS:
+        if section == "initial" or section not in root:
+            continue
+        table = _require_table(root[section], section)
+        keys = {key for sec, key in _SCHEMA if sec == section}
+        _reject_unknown(table, keys | ({"dim"} if section == "grid" else set()), section)
+        for key in keys:
+            if key in table:
+                owner, _, name = _SCHEMA[section, key].rpartition(".")
+                values[owner][name] = _read(table, key, section)
+            elif (section, key) not in _OPTIONAL:
+                raise ConfigError(f"missing key {section}.{key}")
+
     try:
-        params = ModelParams(
-            chi1=_number(p, "chi1", "params"),
-            chi2=_number(p, "chi2", "params"),
-            alpha=_number(p, "alpha", "params"),
-            beta=_number(p, "beta", "params"),
-        )
+        params = ModelParams(**values["params"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    g = _require_table(root["grid"], "grid")
-    _reject_unknown(g, {"dim", "lengths", "cells"}, "grid")
-    lengths = g.get("lengths")
-    cells = g.get("cells")
-    if not isinstance(lengths, list) or not isinstance(cells, list):
-        raise ConfigError("grid.lengths and grid.cells must be lists")
     try:
-        grid = Grid(lengths=tuple(lengths), cells=tuple(cells))
+        grid = Grid(**values["grid"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
-    if "dim" in g and g["dim"] != grid.dim:
-        raise ConfigError(
-            f"grid.dim = {g['dim']} contradicts {grid.dim}-axis lengths/cells"
-        )
+    dim = root["grid"].get("dim", grid.dim)
+    if dim != grid.dim:
+        raise ConfigError(f"grid.dim = {dim} contradicts {grid.dim}-axis lengths/cells")
 
     i = _require_table(root["initial"], "initial")
     _reject_unknown(i, {"u", "v", "w"}, "initial")
@@ -170,107 +216,36 @@ def parse_config(path) -> ScenarioConfig:
         if name not in i:
             raise ConfigError(f"missing key initial.{name}")
     initial = InitialSpec(
-        u=_parse_field(i["u"], "initial.u", path.parent),
-        v=_parse_field(i["v"], "initial.v", path.parent),
-        w=_parse_field(i["w"], "initial.w", path.parent),
+        *(_parse_field(i[name], f"initial.{name}", path.parent) for name in "uvw")
     )
 
-    t = _require_table(root["time"], "time")
-    _reject_unknown(t, {"t_end", "dt_max", "cfl_safety"}, "time")
-    t_end = _number(t, "t_end", "time")
-    if not t_end > 0.0:
-        raise ConfigError(f"time.t_end must be positive, got {t_end}")
-    dt_max = _number(t, "dt_max", "time", default=t_end)
-    cfl_safety = _number(t, "cfl_safety", "time", default=0.5)
-
-    o = _require_table(root.get("output", {}), "output")
-    _reject_unknown(o, {"every"}, "output")
-    output_every = _number(o, "every", "output", default=t_end / 200.0)
-
-    s = _require_table(root.get("scheme", {}), "scheme")
-    _reject_unknown(s, {"advection", "blowup_linf"}, "scheme")
-    advection = s.get("advection", "central")
-    if not isinstance(advection, str):
-        raise ConfigError("scheme.advection must be a string")
-    blowup_linf = _number(s, "blowup_linf", "scheme", default=1e8)
-
-    weight_p = weight_eps = None
-    if "weight" in root:
-        w = _require_table(root["weight"], "weight")
-        _reject_unknown(w, {"p", "eps"}, "weight")
-        weight_p = _number(w, "p", "weight")
-        weight_eps = _number(w, "eps", "weight")
-
     try:
-        return ScenarioConfig(
-            params=params,
-            grid=grid,
-            initial=initial,
-            t_end=t_end,
-            dt_max=dt_max,
-            cfl_safety=cfl_safety,
-            output_every=output_every,
-            scheme=advection,
-            blowup_linf=blowup_linf,
-            weight_p=weight_p,
-            weight_eps=weight_eps,
-        )
+        return ScenarioConfig(params=params, grid=grid, initial=initial, **values[""])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _field_to_dict(field: InitialField) -> dict:
-    if isinstance(field, ConstantInit):
-        return {"kind": "constant", "value": field.value}
-    if isinstance(field, CosineBumpInit):
-        out = {"kind": "cosine_bump", "base": field.base, "amplitude": field.amplitude}
-        if field.modes:
-            out["modes"] = list(field.modes)
-        return out
-    if isinstance(field, GaussianInit):
-        return {
-            "kind": "gaussian",
-            "center": list(field.center),
-            "width": field.width,
-            "amplitude": field.amplitude,
-            "floor": field.floor,
-        }
-    if isinstance(field, FileInit):
-        return {"kind": "file", "path": field.path}
-    raise TypeError(f"unknown initial field {field!r}")
+    kind = next(k for k, cls in _KINDS.items() if isinstance(field, cls))
+    out = {"kind": kind}
+    for f in fields(field):
+        value = getattr(field, f.name)
+        if f.default == () and not value:
+            continue  # the canonical form leaves out unset cosine modes
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
     """Fully-resolved plain dict; the canonical form behind the digest."""
-    out = {
-        "params": {
-            "chi1": config.params.chi1,
-            "chi2": config.params.chi2,
-            "alpha": config.params.alpha,
-            "beta": config.params.beta,
-        },
-        "grid": {
-            "lengths": list(config.grid.lengths),
-            "cells": list(config.grid.cells),
-        },
-        "initial": {
-            "u": _field_to_dict(config.initial.u),
-            "v": _field_to_dict(config.initial.v),
-            "w": _field_to_dict(config.initial.w),
-        },
-        "time": {
-            "t_end": config.t_end,
-            "dt_max": config.dt_max,
-            "cfl_safety": config.cfl_safety,
-        },
-        "output": {"every": config.output_every},
-        "scheme": {
-            "advection": config.scheme,
-            "blowup_linf": config.blowup_linf,
-        },
-    }
-    if config.weight_p is not None:
-        out["weight"] = {"p": config.weight_p, "eps": config.weight_eps}
+    out = {"initial": {n: _field_to_dict(getattr(config.initial, n)) for n in "uvw"}}
+    for (section, key), attr in _SCHEMA.items():
+        if section == "weight" and config.weight_p is None:
+            continue
+        value = attrgetter(attr)(config)
+        out.setdefault(section, {})[key] = (
+            list(value) if isinstance(value, tuple) else value
+        )
     return out
 
 

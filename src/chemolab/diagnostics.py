@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Grid, ModelParams, State
+from .model import Grid, ModelParams, State, _hi, _lo
 from .weight import WeightFunction
 
 __all__ = [
@@ -93,13 +93,7 @@ def dirichlet_energy(field: np.ndarray, grid: Grid) -> float:
     """
     total = 0.0
     for axis, h in enumerate(grid.spacing):
-        lo = tuple(
-            slice(None, -1) if k == axis else slice(None) for k in range(grid.dim)
-        )
-        hi = tuple(
-            slice(1, None) if k == axis else slice(None) for k in range(grid.dim)
-        )
-        diff = (field[hi] - field[lo]) / h
+        diff = (field[_hi(axis, grid.dim)] - field[_lo(axis, grid.dim)]) / h
         total += grid.volume_element * float(np.sum(diff * diff))
     return total
 

@@ -7,7 +7,8 @@ marked read-only), so they can be shared across threads without coordination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "InitialSpec",
     "InitialField",
     "ValidatedInitialData",
+    "SchemeOptions",
     "ScenarioConfig",
     "ThresholdReport",
     "validate_initial_data",
@@ -81,7 +83,7 @@ class Grid:
     def dim(self) -> int:
         return len(self.lengths)
 
-    @property
+    @cached_property  # read on every face-flux evaluation
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / m for L, m in zip(self.lengths, self.cells))
 
@@ -105,6 +107,19 @@ class Grid:
         """Cell-center coordinate arrays broadcast to the grid shape."""
         axes = [self.cell_centers(k) for k in range(self.dim)]
         return tuple(np.meshgrid(*axes, indexing="ij"))
+
+
+@lru_cache(maxsize=None)
+def _lo(axis: int, dim: int) -> tuple[slice, ...]:
+    """All but the last entry along ``axis``: the low side of each interior
+    face of a cell array, or every face but the last of a face array."""
+    return tuple(slice(None, -1) if k == axis else slice(None) for k in range(dim))
+
+
+@lru_cache(maxsize=None)
+def _hi(axis: int, dim: int) -> tuple[slice, ...]:
+    """All but the first entry along ``axis``; the counterpart of :func:`_lo`."""
+    return tuple(slice(1, None) if k == axis else slice(None) for k in range(dim))
 
 
 @dataclass(frozen=True)
@@ -304,44 +319,71 @@ def threshold_check(params: ModelParams, w0_max: float, n: int) -> ThresholdRepo
 
 
 @dataclass(frozen=True)
+class SchemeOptions:
+    """Numerical options of the solver; the one place they are validated.
+
+    Error messages name the config key each option is read from.
+    """
+
+    advection: str = "central"
+    dt_max: float = math.inf
+    cfl_safety: float = 0.5
+    blowup_linf: float = 1e8  # divergence sentinel
+
+    def __post_init__(self) -> None:
+        if self.advection not in ("central", "upwind"):
+            raise ValueError(
+                f"scheme.advection must be 'central' or 'upwind', got {self.advection!r}"
+            )
+        if not self.dt_max > 0.0:
+            raise ValueError(f"time.dt_max must be positive, got {self.dt_max}")
+        if not 0.0 < self.cfl_safety <= 1.0:
+            raise ValueError(
+                f"time.cfl_safety must lie in (0, 1], got {self.cfl_safety}"
+            )
+        if not self.blowup_linf > 0.0:
+            raise ValueError(
+                f"scheme.blowup_linf must be positive, got {self.blowup_linf}"
+            )
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything a simulation run needs, fully resolved."""
+    """Everything a simulation run needs, fully resolved.
+
+    Defaults: dt_max = t_end, output_every = t_end / 200.  The scheme
+    fields are validated by building :attr:`options`, which the solver uses.
+    """
 
     params: ModelParams
     grid: Grid
     initial: InitialSpec
     t_end: float
-    dt_max: float
+    dt_max: float | None = None
     cfl_safety: float = 0.5
-    output_every: float = 0.0  # 0 means t_end / 200
+    output_every: float | None = None
     scheme: str = "central"
     blowup_linf: float = 1e8
     weight_p: float | None = None
     weight_eps: float | None = None
+    options: SchemeOptions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
             raise ValueError(f"time.t_end must be a positive real, got {self.t_end}")
-        if not (self.dt_max > 0.0 and math.isfinite(self.dt_max)):
-            raise ValueError(f"time.dt_max must be a positive real, got {self.dt_max}")
-        if not (0.0 < self.cfl_safety <= 1.0):
-            raise ValueError(
-                f"time.cfl_safety must lie in (0, 1], got {self.cfl_safety}"
-            )
-        if self.output_every == 0.0:
+        if self.dt_max is None:
+            object.__setattr__(self, "dt_max", self.t_end)
+        if self.output_every is None:
             object.__setattr__(self, "output_every", self.t_end / 200.0)
         if not (0.0 < self.output_every and math.isfinite(self.output_every)):
             raise ValueError(
                 f"output.every must be a positive real, got {self.output_every}"
             )
-        if self.scheme not in ("central", "upwind"):
-            raise ValueError(
-                f"scheme.advection must be 'central' or 'upwind', got {self.scheme!r}"
-            )
-        if not (self.blowup_linf > 0.0):
-            raise ValueError(
-                f"scheme.blowup_linf must be positive, got {self.blowup_linf}"
-            )
+        object.__setattr__(
+            self,
+            "options",
+            SchemeOptions(self.scheme, self.dt_max, self.cfl_safety, self.blowup_linf),
+        )
         if self.weight_p is not None and not self.weight_p > 1.0:
             raise ValueError(f"weight.p must be > 1, got {self.weight_p}")
         if self.weight_eps is not None and not (0.0 < self.weight_eps < 1.0):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +23,11 @@ from .model import (
     Grid,
     ModelParams,
     ScenarioConfig,
+    SchemeOptions,
     State,
+    _first_bad_cell,
+    _hi,
+    _lo,
     validate_initial_data,
 )
 from .weight import (
@@ -36,7 +39,6 @@ from .weight import (
 
 __all__ = [
     "SchemeOptions",
-    "FaceFluxes",
     "SolverError",
     "PositivityError",
     "BlowUpDetected",
@@ -44,7 +46,6 @@ __all__ = [
     "RunResult",
     "grad_w_faces",
     "species_flux",
-    "face_fluxes",
     "divergence",
     "rhs",
     "stable_dt",
@@ -75,34 +76,6 @@ class BlowUpDetected(SolverError):
         self.value = value
 
 
-@dataclass(frozen=True)
-class SchemeOptions:
-    advection: str = "central"
-    dt_max: float = math.inf
-    cfl_safety: float = 0.5
-    blowup_linf: float = 1e8  # divergence sentinel
-
-    def __post_init__(self) -> None:
-        if self.advection not in ("central", "upwind"):
-            raise ValueError(f"advection must be 'central' or 'upwind', got {self.advection!r}")
-        if not self.dt_max > 0.0:
-            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
-        if not self.blowup_linf > 0.0:
-            raise ValueError(f"blowup_linf must be positive, got {self.blowup_linf}")
-
-
-@lru_cache(maxsize=None)
-def _lo(axis: int, dim: int) -> tuple[slice, ...]:
-    return tuple(slice(None, -1) if k == axis else slice(None) for k in range(dim))
-
-
-@lru_cache(maxsize=None)
-def _hi(axis: int, dim: int) -> tuple[slice, ...]:
-    return tuple(slice(1, None) if k == axis else slice(None) for k in range(dim))
-
-
 def _interior_gradients(w: np.ndarray, grid: Grid) -> list[np.ndarray]:
     """Per-axis (w_right - w_left)/h on interior faces only."""
     out = []
@@ -111,8 +84,31 @@ def _interior_gradients(w: np.ndarray, grid: Grid) -> list[np.ndarray]:
     return out
 
 
-def _face_shape(grid: Grid, axis: int) -> tuple[int, ...]:
-    return tuple(m + 1 if k == axis else m for k, m in enumerate(grid.cells))
+def _face_flux(
+    density: np.ndarray, vel: np.ndarray, axis: int, scheme: str, grid: Grid
+) -> np.ndarray:
+    """Flux -grad(density) + vel * density_at_face on the interior faces.
+
+    The face density is, for
+    central: the arithmetic average of the two adjacent cells;
+    upwind:  the cell the velocity points away from; an exactly-zero face
+             velocity falls back to the average so reflection symmetry of
+             the data survives in the scheme.
+    """
+    d_lo = density[_lo(axis, grid.dim)]
+    d_hi = density[_hi(axis, grid.dim)]
+    flux = 0.5 * (d_lo + d_hi)
+    if scheme == "upwind":
+        flux = np.where(vel > 0.0, d_lo, np.where(vel < 0.0, d_hi, flux))
+    # in place: one face-sized temporary fewer per call, which shows on 3-D grids
+    flux *= vel
+    flux -= (d_hi - d_lo) / grid.spacing[axis]
+    return flux
+
+
+def _with_boundary_faces(interior: np.ndarray, axis: int, grid: Grid) -> np.ndarray:
+    """Full face array along ``axis``: the zero-flux boundary faces carry 0."""
+    return np.pad(interior, [(1, 1) if k == axis else (0, 0) for k in range(grid.dim)])
 
 
 def grad_w_faces(w: np.ndarray, grid: Grid) -> list[np.ndarray]:
@@ -120,36 +116,10 @@ def grad_w_faces(w: np.ndarray, grid: Grid) -> list[np.ndarray]:
 
     Face arrays include the boundary faces, which carry exactly zero.
     """
-    out = []
-    for axis, g_int in enumerate(_interior_gradients(np.asarray(w, float), grid)):
-        faces = np.zeros(_face_shape(grid, axis))
-        faces[_interior_faces(grid, axis)] = g_int
-        out.append(faces)
-    return out
-
-
-def _interior_faces(grid: Grid, axis: int) -> tuple[slice, ...]:
-    return tuple(
-        slice(1, -1) if k == axis else slice(None) for k in range(grid.dim)
-    )
-
-
-def _face_density(
-    density: np.ndarray, vel: np.ndarray, axis: int, scheme: str, grid: Grid
-) -> np.ndarray:
-    """Density value carried by each interior face.
-
-    central: arithmetic average of the two adjacent cells.
-    upwind:  the cell the velocity points away from; an exactly-zero face
-             velocity falls back to the average so reflection symmetry of
-             the data survives in the scheme.
-    """
-    d_lo = density[_lo(axis, grid.dim)]
-    d_hi = density[_hi(axis, grid.dim)]
-    avg = 0.5 * (d_lo + d_hi)
-    if scheme == "central":
-        return avg
-    return np.where(vel > 0.0, d_lo, np.where(vel < 0.0, d_hi, avg))
+    return [
+        _with_boundary_faces(g, axis, grid)
+        for axis, g in enumerate(_interior_gradients(np.asarray(w, float), grid))
+    ]
 
 
 def species_flux(
@@ -165,64 +135,16 @@ def species_flux(
     ``gw`` is the full face array for this axis (as from
     :func:`grad_w_faces`); boundary faces of the result are exactly zero.
     """
-    density = np.asarray(density, float)
-    interior = _interior_faces(grid, axis)
-    vel = chi * gw[interior]
-    dhat = _face_density(density, vel, axis, scheme, grid)
-    h = grid.spacing[axis]
-    flux = np.zeros(_face_shape(grid, axis))
-    flux[interior] = (
-        -(density[_hi(axis, grid.dim)] - density[_lo(axis, grid.dim)]) / h
-        + vel * dhat
-    )
-    return flux
-
-
-@dataclass(frozen=True)
-class FaceFluxes:
-    """Per-axis face fluxes for all three fields; boundary faces are zero."""
-
-    u: tuple[np.ndarray, ...]
-    v: tuple[np.ndarray, ...]
-    w: tuple[np.ndarray, ...]
-
-
-def face_fluxes(
-    state: State, params: ModelParams, grid: Grid, scheme: SchemeOptions
-) -> FaceFluxes:
-    """Assemble every face flux of the semi-discrete system.
-
-    The w flux is purely diffusive (chi = 0 drops the advective part).
-    """
-    gw = grad_w_faces(state.w, grid)
-    adv = scheme.advection
-    return FaceFluxes(
-        u=tuple(
-            species_flux(state.u, params.chi1, gw[k], adv, grid, k)
-            for k in range(grid.dim)
-        ),
-        v=tuple(
-            species_flux(state.v, params.chi2, gw[k], adv, grid, k)
-            for k in range(grid.dim)
-        ),
-        w=tuple(
-            species_flux(state.w, 0.0, gw[k], adv, grid, k)
-            for k in range(grid.dim)
-        ),
-    )
+    vel = chi * gw[_hi(axis, grid.dim)][_lo(axis, grid.dim)]  # interior faces
+    interior = _face_flux(np.asarray(density, float), vel, axis, scheme, grid)
+    return _with_boundary_faces(interior, axis, grid)
 
 
 def divergence(fluxes: list[np.ndarray], grid: Grid) -> np.ndarray:
     """Conservative face-difference divergence of per-axis face fluxes."""
     out = np.zeros(grid.shape)
     for axis, (flux, h) in enumerate(zip(fluxes, grid.spacing)):
-        upper = tuple(
-            slice(1, None) if k == axis else slice(None) for k in range(grid.dim)
-        )
-        lower = tuple(
-            slice(None, -1) if k == axis else slice(None) for k in range(grid.dim)
-        )
-        out += (flux[upper] - flux[lower]) / h
+        out += (flux[_hi(axis, grid.dim)] - flux[_lo(axis, grid.dim)]) / h
     return out
 
 
@@ -249,9 +171,7 @@ def rhs(
         hi = _hi(axis, grid.dim)
         g = gw[axis]
         for dens, chi, acc in ((u, params.chi1, du), (v, params.chi2, dv)):
-            vel = chi * g
-            flux = vel * _face_density(dens, vel, axis, advection, grid)
-            flux -= (dens[hi] - dens[lo]) / h
+            flux = _face_flux(dens, chi * g, axis, advection, grid)
             flux /= h
             acc[lo] -= flux
             acc[hi] += flux
@@ -283,10 +203,6 @@ def stable_dt(
     return min(scheme.cfl_safety * limit, scheme.dt_max)
 
 
-def _first_cell(mask: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(i) for i in np.argwhere(mask)[0])
-
-
 def step(
     state: State,
     dt: float,
@@ -314,11 +230,11 @@ def step(
     for name, arr in (("u", u), ("v", v), ("w", w)):
         mn = float(arr.min())
         if math.isnan(mn):
-            raise BlowUpDetected(t_new, name, _first_cell(np.isnan(arr)), mn)
+            raise BlowUpDetected(t_new, name, _first_bad_cell(np.isnan(arr)), mn)
         if mn < _NEGATIVITY_TOL:
             raise PositivityError(
                 f"positivity violation in {name} at t={t_new}: min {mn} at cell "
-                f"{_first_cell(arr == arr.min())} "
+                f"{_first_bad_cell(arr == arr.min())} "
                 "(reduce dt or switch to upwind)"
             )
         if name == "w" and mn < 0.0:
@@ -326,7 +242,7 @@ def step(
     for name, arr in (("u", u), ("v", v)):
         mx = float(arr.max())
         if mx > scheme.blowup_linf:
-            raise BlowUpDetected(t_new, name, _first_cell(arr == arr.max()), mx)
+            raise BlowUpDetected(t_new, name, _first_bad_cell(arr == arr.max()), mx)
     return State(t=t_new, u=u, v=v, w=w)
 
 
@@ -391,12 +307,7 @@ def run(config: ScenarioConfig) -> RunResult:
     """
     grid, params = config.grid, config.params
     init = validate_initial_data(*config.initial.build(grid), grid)
-    opts = SchemeOptions(
-        advection=config.scheme,
-        dt_max=config.dt_max,
-        cfl_safety=config.cfl_safety,
-        blowup_linf=config.blowup_linf,
-    )
+    opts = config.options
     weight, weight_note = _resolve_weight(config, params, init.w0_max)
     w0sq = grid.volume_element * float(np.sum(init.w * init.w))
     ctx = RunContext(

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from chemolab import model
 from chemolab.cli import main, read_diagnostics_csv, write_diagnostics_csv
 from chemolab.config import ConfigError, config_digest, parse_config
-from chemolab.model import FileInit, Grid
+from chemolab.model import FileInit, Grid, write_field_raw
 from chemolab.solver import run
 
 
@@ -112,10 +113,14 @@ def test_parse_weight_group(tmp_path):
         parse_config(write_config(tmp_path, bad))
 
 
+def test_parse_rejects_zero_output_every(tmp_path):
+    bad = minimal_config(output={"every": 0})
+    with pytest.raises(ConfigError, match="output.every"):
+        parse_config(write_config(tmp_path, bad))
+
+
 def test_file_initializer_paths_resolve_relative_to_config(tmp_path):
     g = Grid(lengths=(1.0, 1.0), cells=(8, 8))
-    from chemolab.model import write_field_raw
-
     write_field_raw(np.full(g.shape, 2.0), tmp_path / "u.raw")
     cfg = minimal_config()
     cfg["initial"]["u"] = {"kind": "file", "path": "u.raw"}
@@ -134,6 +139,30 @@ def test_digest_stable_across_key_order(tmp_path):
     changed["time"]["t_end"] = 0.2
     c = parse_config(write_config(tmp_path, changed, "c.json"))
     assert config_digest(a) != config_digest(c)
+
+
+README_CONFIG = {
+    "params": {"chi1": 1.0, "chi2": 1.0, "alpha": 1.0, "beta": 1.0},
+    "grid": {"lengths": [1.0, 1.0], "cells": [64, 64]},
+    "initial": {
+        "u": {"kind": "cosine_bump", "base": 1.0, "amplitude": 0.5, "modes": [1, 1]},
+        "v": {"kind": "cosine_bump", "base": 1.0, "amplitude": 0.25, "modes": [1, 0]},
+        "w": {"kind": "cosine_bump", "base": 0.25, "amplitude": 0.25, "modes": [1, 0]},
+    },
+    "time": {"t_end": 5.0, "dt_max": 5.0, "cfl_safety": 0.5},
+    "output": {"every": 0.025},
+    "scheme": {"advection": "central", "blowup_linf": 1e8},
+    "weight": {"p": 2.0, "eps": 0.3},
+}
+
+
+def test_digest_of_readme_example_is_pinned(tmp_path):
+    # manifests written earlier carry this value; the canonical form must
+    # not drift
+    cfg = parse_config(write_config(tmp_path, README_CONFIG))
+    assert config_digest(cfg) == (
+        "763db43636312e734ade84149db6de0923019db89af13d6f7739060ae5e61ede"
+    )
 
 
 # ---------------------------------------------------------------- CSV + I/O
@@ -206,6 +235,26 @@ def test_cmd_run_snapshot_is_restart_capable(tmp_path):
     result = run(parse_config(cfg_path))
     assert np.array_equal(u0, result.final_state.u)
     assert np.array_equal(w0, result.final_state.w)
+
+
+def test_cmd_run_reads_each_file_initializer_once(tmp_path, monkeypatch):
+    g = Grid(lengths=(1.0, 1.0), cells=(8, 8))
+    cfg = minimal_config()
+    for name, value in (("u", 1.0), ("v", 1.0), ("w", 0.5)):
+        write_field_raw(np.full(g.shape, value), tmp_path / f"{name}.raw")
+        cfg["initial"][name] = {"kind": "file", "path": f"{name}.raw"}
+    reads = []
+    read_field_raw = model.read_field_raw
+
+    def counting(*args):
+        reads.append(args[0])
+        return read_field_raw(*args)
+
+    monkeypatch.setattr(model, "read_field_raw", counting)
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code in (0, 2)
+    assert len(reads) == 3
 
 
 def test_cmd_run_blowup_exits_three(tmp_path):

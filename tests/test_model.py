@@ -214,3 +214,7 @@ def test_scenario_config_defaults_and_guards():
         ScenarioConfig(
             ModelParams(1, 1, 1, 1), g, spec, t_end=1.0, dt_max=1.0, scheme="weno"
         )
+    with pytest.raises(ValueError, match="output.every"):
+        ScenarioConfig(
+            ModelParams(1, 1, 1, 1), g, spec, t_end=1.0, dt_max=1.0, output_every=0.0
+        )

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from chemolab.solver import (
     SchemeOptions,
     SolverError,
     divergence,
-    face_fluxes,
     grad_w_faces,
     rhs,
     run,
@@ -100,19 +100,42 @@ def test_flux_uniform_density_linear_signal():
 
 
 def test_upwind_selects_upstream_cell():
+    # h = 1/4 and u steps by 1 per cell, so every face's diffusive flux is -4
     g = grid1d(4)
     u = np.array([1.0, 2.0, 3.0, 4.0])
-    w_up = g.cell_centers(0)  # velocity > 0 everywhere
-    (gw,) = grad_w_faces(w_up, g)
-    flux = species_flux(u, 1.0, gw, "upwind", g, 0)
-    h = g.spacing[0]
-    # face between cells i, i+1 carries u_i when the velocity points right
-    expected = -(u[1:] - u[:-1]) / h + 1.0 * u[:-1] * gw[1:-1]
-    assert np.allclose(flux[1:-1], expected, rtol=1e-13)
-    (gw_dn,) = grad_w_faces(-w_up, g)
-    flux_dn = species_flux(u, 1.0, gw_dn, "upwind", g, 0)
-    expected_dn = -(u[1:] - u[:-1]) / h + 1.0 * u[1:] * gw_dn[1:-1]
-    assert np.allclose(flux_dn[1:-1], expected_dn, rtol=1e-13)
+    x = g.cell_centers(0)
+    cases = [
+        # w = x: velocity +1, the face carries the left cell u_i
+        ("upwind", x, [-3.0, -2.0, -1.0]),
+        # w = -x: velocity -1, the face carries the right cell u_{i+1}
+        ("upwind", -x, [-6.0, -7.0, -8.0]),
+        # central: the face carries the average of its two cells
+        ("central", x, [-2.5, -1.5, -0.5]),
+        # velocities 0, +1, 0: a face with exactly zero velocity carries the
+        # average, which the zero velocity cancels to pure diffusion
+        ("upwind", np.array([0.5, 0.5, 0.75, 0.75]), [-4.0, -2.0, -4.0]),
+    ]
+    for scheme, w, expected in cases:
+        (gw,) = grad_w_faces(w, g)
+        flux = species_flux(u, 1.0, gw, scheme, g, 0)
+        assert flux[1:-1].tolist() == expected, (scheme, w)
+        assert flux[0] == 0.0 and flux[-1] == 0.0
+
+
+def test_species_flux_boundary_faces_are_zero():
+    rng = np.random.default_rng(6)
+    g = Grid(lengths=(1.0, 1.0), cells=(6, 5))
+    u = 1.0 + rng.random((6, 5))
+    gw = grad_w_faces(rng.random((6, 5)), g)
+    for scheme, chi, axis in itertools.product(("central", "upwind"), (1.3, 0.0), (0, 1)):
+        flux = species_flux(u, chi, gw[axis], scheme, g, axis)
+        assert flux.shape == tuple(m + (k == axis) for k, m in enumerate(g.cells))
+        first = tuple(0 if k == axis else slice(None) for k in range(g.dim))
+        last = tuple(-1 if k == axis else slice(None) for k in range(g.dim))
+        assert np.all(flux[first] == 0.0)
+        assert np.all(flux[last] == 0.0)
+        assert np.all(gw[axis][first] == 0.0)
+        assert np.all(gw[axis][last] == 0.0)
 
 
 # --------------------------------------------------------------------- rhs
@@ -179,29 +202,6 @@ def test_rhs_matches_flux_divergence_composition():
         assert np.allclose(dv, -divergence(fv, g), rtol=1e-12, atol=1e-10)
         expected_dw = -divergence(fw, g) - (params.alpha * u + params.beta * v) * w
         assert np.allclose(dw, expected_dw, rtol=1e-12, atol=1e-10)
-        bundle = face_fluxes(st, params, g, opts)
-        for mine, bundled in zip((fu, fv, fw), (bundle.u, bundle.v, bundle.w)):
-            for a, b in zip(mine, bundled):
-                assert np.array_equal(a, b)
-
-
-def test_face_fluxes_boundary_faces_are_zero():
-    rng = np.random.default_rng(6)
-    g = Grid(lengths=(1.0, 1.0), cells=(6, 5))
-    st = State(
-        0.0, 1.0 + rng.random((6, 5)), 1.0 + rng.random((6, 5)), rng.random((6, 5))
-    )
-    bundle = face_fluxes(st, PARAMS, g, UPWIND)
-    for per_axis in (bundle.u, bundle.v, bundle.w):
-        for axis, flux in enumerate(per_axis):
-            first = tuple(
-                0 if k == axis else slice(None) for k in range(g.dim)
-            )
-            last = tuple(
-                -1 if k == axis else slice(None) for k in range(g.dim)
-            )
-            assert np.all(flux[first] == 0.0)
-            assert np.all(flux[last] == 0.0)
 
 
 def _manufactured_1d(m):
