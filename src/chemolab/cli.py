@@ -125,6 +125,7 @@ def cmd_run(args) -> int:
         "tool_version": __version__,
         "started": started,
         "outcome": result.outcome,
+        "steps": result.steps,
         "files": files,
     }
 

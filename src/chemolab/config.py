@@ -250,6 +250,16 @@ def config_to_dict(config: ScenarioConfig) -> dict:
 
 
 def config_digest(config: ScenarioConfig) -> str:
-    """Content hash of the resolved config; stable across re-serialization."""
-    canonical = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
+    """Content hash of the resolved config; stable across re-serialization.
+
+    A ``file`` initializer enters by the sha256 of the bytes it holds, not
+    by its path: the same inputs in two directories share a digest, and
+    rewriting a raw file changes it.
+    """
+    resolved = config_to_dict(config)
+    for entry in resolved["initial"].values():
+        if entry["kind"] == "file":
+            data = Path(entry.pop("path")).read_bytes()
+            entry["sha256"] = hashlib.sha256(data).hexdigest()
+    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

@@ -79,9 +79,27 @@ class RunContext:
         return self.params.alpha * self.ubar0 + self.params.beta * self.vbar0
 
 
+def _integrals(fields: np.ndarray, grid: Grid) -> np.ndarray:
+    """Discrete integrals of the fields stacked along the first axis."""
+    return grid.volume_element * np.add.reduce(fields.reshape(len(fields), -1), axis=1)
+
+
+def _dirichlet_energies(fields: np.ndarray, grid: Grid) -> np.ndarray:
+    """Discrete int |grad f|^2 of the fields stacked along the first axis."""
+    dim = grid.dim
+    total = np.zeros(len(fields))
+    for axis, h in enumerate(grid.spacing):
+        diff = fields[_hi(axis + 1, dim + 1)] - fields[_lo(axis + 1, dim + 1)]
+        diff /= h
+        diff *= diff
+        total += _integrals(diff, grid)
+        del diff  # freed before the next axis allocates its own
+    return total
+
+
 def mass(field: np.ndarray, grid: Grid) -> float:
     """Discrete integral of a cell field over the box."""
-    return grid.volume_element * float(np.sum(field))
+    return float(_integrals(np.asarray(field, float)[None], grid)[0])
 
 
 def dirichlet_energy(field: np.ndarray, grid: Grid) -> float:
@@ -91,11 +109,7 @@ def dirichlet_energy(field: np.ndarray, grid: Grid) -> float:
     the same face-based gradient the solver's fluxes use; boundary faces
     carry zero gradient, matching the zero-flux condition.
     """
-    total = 0.0
-    for axis, h in enumerate(grid.spacing):
-        diff = (field[_hi(axis, grid.dim)] - field[_lo(axis, grid.dim)]) / h
-        total += grid.volume_element * float(np.sum(diff * diff))
-    return total
+    return float(_dirichlet_energies(np.asarray(field, float)[None], grid)[0])
 
 
 def lyapunov(state: State, wf: WeightFunction, chi: float, grid: Grid) -> float:
@@ -107,17 +121,25 @@ def lyapunov(state: State, wf: WeightFunction, chi: float, grid: Grid) -> float:
             "(the amplitude bound used to build the weight was too small)"
         )
     phi = wf.phi(chi * state.w)
-    return (1.0 / wf.p) * grid.volume_element * float(np.sum(state.u**wf.p * phi))
+    integral = float(np.add.reduce(state.u**wf.p * phi, axis=None))
+    return (1.0 / wf.p) * grid.volume_element * integral
 
 
 def record(
     state: State, ctx: RunContext, prev: DiagnosticsRecord | None
 ) -> DiagnosticsRecord:
-    """Compute one fully-populated record; pass prev=None for the first."""
+    """Compute one fully-populated record; pass prev=None for the first.
+
+    The fields are stacked once so that each quantity is one array
+    operation over u, v and w together.
+    """
     grid = ctx.grid
-    du = dirichlet_energy(state.u, grid)
-    dv = dirichlet_energy(state.v, grid)
-    dw = dirichlet_energy(state.w, grid)
+    lyap = None
+    if ctx.weight is not None:  # before stacking, which would add to its peak memory
+        lyap = lyapunov(state, ctx.weight, ctx.params.chi1, grid)
+    fields = np.concatenate((state.u, state.v, state.w)).reshape((3,) + grid.shape)
+    flat = fields.reshape(3, -1)
+    du, dv, dw = _dirichlet_energies(fields, grid).tolist()
     if prev is None:
         cums = (0.0, 0.0, 0.0)
     else:
@@ -127,18 +149,22 @@ def record(
             prev.cum_dirichlet_v + half_dt * (prev.dirichlet_v + dv),
             prev.cum_dirichlet_w + half_dt * (prev.dirichlet_w + dw),
         )
-    lyap = None
-    if ctx.weight is not None:
-        lyap = lyapunov(state, ctx.weight, ctx.params.chi1, grid)
+    mass_u, mass_v = _integrals(flat[:2], grid).tolist()
+    # max |f - c| is max(max f - c, c - min f): rounding is monotone, so this
+    # is the same float without a field-sized temporary
+    highs, lows = np.maximum.reduce(flat, axis=1), np.minimum.reduce(flat, axis=1)
+    linf_u, linf_v, linf_w = np.maximum(highs, -lows).tolist()
+    means = np.array([ctx.ubar0, ctx.vbar0])
+    dev_u, dev_v = np.maximum(highs[:2] - means, means - lows[:2]).tolist()
     return DiagnosticsRecord(
         t=float(state.t),
-        mass_u=mass(state.u, grid),
-        mass_v=mass(state.v, grid),
-        linf_u=float(np.abs(state.u).max()),
-        linf_v=float(np.abs(state.v).max()),
-        linf_w=float(np.abs(state.w).max()),
-        dev_u=float(np.abs(state.u - ctx.ubar0).max()),
-        dev_v=float(np.abs(state.v - ctx.vbar0).max()),
+        mass_u=mass_u,
+        mass_v=mass_v,
+        linf_u=linf_u,
+        linf_v=linf_v,
+        linf_w=linf_w,
+        dev_u=dev_u,
+        dev_v=dev_v,
         lyapunov=lyap,
         dirichlet_u=du,
         dirichlet_v=dv,

@@ -67,6 +67,9 @@ class Grid:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
+        for m in self.cells:
+            if isinstance(m, bool) or not float(m).is_integer():
+                raise ValueError(f"grid.cells must be whole numbers, got {m!r}")
         object.__setattr__(self, "cells", tuple(int(m) for m in self.cells))
         if not 1 <= len(self.lengths) <= 3:
             raise ValueError("grid dimension must be 1, 2 or 3")

@@ -1,20 +1,35 @@
-"""Conservative finite-volume discretization and explicit time integration.
+"""Conservative finite-volume discretization and split time integration.
 
 The spatial operator is a cell-centered finite volume scheme on a uniform
 box: diffusion by two-point face fluxes, chemotaxis as an advective face
 flux with velocity chi * grad(w), absorption pointwise.  Zero-flux boundary
 faces enforce the no-flux condition exactly inside the discrete conservation
 law, so the discrete integrals of u and v telescope to constants.
+:func:`rhs` is that semi-discrete operator.
 
-Time integration is forward Euler with an adaptive step bounded by
-diffusive, advective and absorption stability limits.  rhs and step are pure
-functions producing fresh states; distinct runs share no mutable state.
+:func:`step` advances it by Strang splitting, D(dt/2) R(dt/2) A(dt) R(dt/2)
+D(dt/2), second order in dt:
+
+* D, diffusion of u, v and w, is solved exactly.  The zero-flux Laplacian
+  of a uniform box is diagonalised by the orthonormal DCT-II along each
+  axis, so D transforms, multiplies by exp(tau * eigenvalue) and transforms
+  back.
+* R, absorption, is solved exactly: w <- w * exp(-tau (alpha u + beta v)).
+* A, chemotaxis with w frozen, is Heun's SSP-RK2 on the advective face
+  fluxes of :func:`rhs`.
+
+Only A limits the step: :func:`stable_dt` bounds it by each cell's total
+advective face rate plus its absorption rate, which keeps every upwind
+stage a convex combination; A splits itself when D and R steepened w past
+that bound.  rhs and step are pure functions producing fresh states;
+distinct runs share no mutable state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +70,7 @@ __all__ = [
 
 _DT_FLOOR = 1e-15
 _NEGATIVITY_TOL = -1e-12
+_TINY = np.finfo(float).tiny
 
 
 class SolverError(RuntimeError):
@@ -84,23 +100,32 @@ def _interior_gradients(w: np.ndarray, grid: Grid) -> list[np.ndarray]:
     return out
 
 
+# ------------------------------------------------------------- face fluxes
+
+
+def _face_density(
+    d_lo: np.ndarray, d_hi: np.ndarray, vel: np.ndarray, scheme: str
+) -> np.ndarray:
+    """Density carried by the faces between the ``d_lo`` and ``d_hi`` cells;
+    the one face-value rule of both :func:`rhs` and the stepper.
+
+    central: the arithmetic average of the two adjacent cells;
+    upwind:  the cell the velocity points away from (a face with zero
+             velocity carries no advective flux either way).
+    """
+    if scheme == "upwind":
+        return np.where(vel > 0.0, d_lo, d_hi)
+    out = d_lo + d_hi
+    out *= 0.5
+    return out
+
+
 def _face_flux(
     density: np.ndarray, vel: np.ndarray, axis: int, scheme: str, grid: Grid
 ) -> np.ndarray:
-    """Flux -grad(density) + vel * density_at_face on the interior faces.
-
-    The face density is, for
-    central: the arithmetic average of the two adjacent cells;
-    upwind:  the cell the velocity points away from; an exactly-zero face
-             velocity falls back to the average so reflection symmetry of
-             the data survives in the scheme.
-    """
-    d_lo = density[_lo(axis, grid.dim)]
-    d_hi = density[_hi(axis, grid.dim)]
-    flux = 0.5 * (d_lo + d_hi)
-    if scheme == "upwind":
-        flux = np.where(vel > 0.0, d_lo, np.where(vel < 0.0, d_hi, flux))
-    # in place: one face-sized temporary fewer per call, which shows on 3-D grids
+    """Flux -grad(density) + vel * density_at_face on the interior faces."""
+    d_lo, d_hi = density[_lo(axis, grid.dim)], density[_hi(axis, grid.dim)]
+    flux = _face_density(d_lo, d_hi, vel, scheme)
     flux *= vel
     flux -= (d_hi - d_lo) / grid.spacing[axis]
     return flux
@@ -153,7 +178,6 @@ def rhs(
     params: ModelParams,
     grid: Grid,
     scheme: SchemeOptions,
-    _gw: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Semi-discrete right-hand side (du, dv, dw).
 
@@ -161,15 +185,13 @@ def rhs(
     to zero; dw adds the pointwise absorption sink -(alpha u + beta v) w.
     """
     u, v, w = state.u, state.v, state.w
-    gw = _interior_gradients(w, grid) if _gw is None else _gw
     du = np.zeros(grid.shape)
     dv = np.zeros(grid.shape)
     dw = np.zeros(grid.shape)
     advection = scheme.advection
-    for axis, h in enumerate(grid.spacing):
+    for axis, (h, g) in enumerate(zip(grid.spacing, _interior_gradients(w, grid))):
         lo = _lo(axis, grid.dim)
         hi = _hi(axis, grid.dim)
-        g = gw[axis]
         for dens, chi, acc in ((u, params.chi1, du), (v, params.chi2, dv)):
             flux = _face_flux(dens, chi * g, axis, advection, grid)
             flux /= h
@@ -182,25 +204,219 @@ def rhs(
     return du, dv, dw
 
 
+# ------------------------------------------------------- split operators
+#
+# The stepper works in place on one (3, *grid.shape) array holding u, v, w.
+
+
+@lru_cache(maxsize=32)
+def _axis_basis(m: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal DCT-II of one axis of m cells of width h, split by parity.
+
+    Even modes are symmetric under the reflection i -> m-1-i and odd modes
+    antisymmetric.  With q = ceil(m/2) and r = floor(m/2), the even
+    coefficients are ``even @ s`` for the pair sums s_i = x_i + x_{m-1-i}
+    (i < r, then the middle cell when m is odd) and the odd ones ``odd @ d``
+    for the pair differences; the inverse rebuilds x_i and x_{m-1-i} as the
+    sum and the difference of ``even.T @ E`` and ``odd.T @ O``.  A field
+    symmetric under the reflection thus has exactly zero odd coefficients
+    and comes back exactly symmetric.
+
+    Returns (even, odd, eig): the q x q and r x r matrices (``odd`` is
+    symmetric), and the eigenvalues -(4/h^2) sin^2(pi k / (2m)) of the
+    zero-flux Laplacian in the spectral layout along the axis, even modes
+    first.
+    """
+    q, r = (m + 1) // 2, m // 2
+    modes = np.concatenate([np.arange(0, m, 2), np.arange(1, m, 2)])
+    # cos(pi k (2i+1) / (2m)), the angle reduced exactly (whole floats)
+    basis = np.multiply.outer(modes, 2 * np.arange(q) + 1, dtype=float)
+    np.remainder(basis, 4 * m, out=basis)
+    basis *= np.pi / (2 * m)
+    np.cos(basis, out=basis)
+    basis *= math.sqrt(2.0 / m)
+    basis[0] *= math.sqrt(0.5)
+    even, odd = basis[:q].copy(), basis[q:, :r].copy()
+    eig = -(4.0 / (h * h)) * np.sin(modes * (np.pi / (2 * m))) ** 2
+    for arr in (even, odd, eig):
+        arr.flags.writeable = False
+    return even, odd, eig
+
+
+@lru_cache(maxsize=8)
+def _spectral_plan(grid: Grid) -> tuple[np.ndarray, tuple]:
+    """(eig, axes) for :func:`_diffuse` on ``grid``.
+
+    ``eig`` is the zero-flux Laplacian's eigenvalue of every mode, the sum
+    of the per-axis ones.  ``axes`` holds per axis the view that makes the
+    axis the second one, q, r, the slice of the mirror cells, whether the
+    axis is the last one (which is transformed by a right product, the
+    others by a left product broadcast over the axes before them) and the
+    forward and inverse matrices.
+    """
+    eig = np.zeros(grid.shape)
+    axes = []
+    for axis, (m, h) in enumerate(zip(grid.cells, grid.spacing)):
+        even, odd, axis_eig = _axis_basis(m, h)
+        shape = [1] * grid.dim
+        shape[axis] = m
+        eig = eig + axis_eig.reshape(shape)
+        post = math.prod(grid.cells[axis + 1 :])
+        if post == 1:  # x @ mat.T, which BLAS reads fastest as a transposed view
+            view = (-1, m)
+            forward = (even.T, odd.T)
+            inverse = (even.T.copy().T, odd.T)
+        else:
+            view = (-1, m, post)
+            forward, inverse = (even, odd), (even.T, odd.T)
+        q, r = (m + 1) // 2, m // 2
+        mirror = slice(m - 1, q - 1, -1)  # cells m-1 .. m-r, partners of 0 .. r-1
+        axes.append((view, q, r, mirror, post == 1, forward, inverse))
+    eig.flags.writeable = False
+    return eig, tuple(axes)
+
+
+def _dct(fields: np.ndarray, scratch: np.ndarray, plan: tuple, inverse: bool) -> None:
+    """DCT-II of the stacked ``fields`` along one axis of ``plan``, or its
+    inverse, in place; ``scratch`` has the shape of ``fields``."""
+    view, q, r, mirror, right, forward, backward = plan
+    x, y = fields.reshape(view), scratch.reshape(view)
+    lo, hi = x[:, :r], x[:, mirror]
+    src, dst = (x, y) if inverse else (y, x)
+    if not inverse:
+        np.add(lo, hi, out=y[:, :r])
+        np.subtract(lo, hi, out=y[:, q:])
+        if q > r:
+            y[:, r] = x[:, r]  # the middle cell pairs with itself
+    even, odd = backward if inverse else forward
+    if right:
+        np.matmul(src[:, :q], even, out=dst[:, :q])
+        np.matmul(src[:, q:], odd, out=dst[:, q:])
+    else:
+        np.matmul(even, src[:, :q], out=dst[:, :q])
+        np.matmul(odd, src[:, q:], out=dst[:, q:])
+    if inverse:
+        np.add(y[:, :r], y[:, q:], out=lo)
+        np.subtract(y[:, :r], y[:, q:], out=hi)
+        if q > r:
+            x[:, r] = y[:, r]
+
+
+def _diffuse(fields: np.ndarray, decay: np.ndarray, grid: Grid) -> None:
+    """D: exact diffusion in place; ``decay`` is exp(tau * eig) for the
+    eigenvalues of :func:`_spectral_plan`.
+
+    Acts on each field's zero-mean part and adds the mean back, so a
+    constant field stays exactly constant.
+    """
+    flat = fields.reshape(len(fields), -1)
+    mean = np.add.reduce(flat, axis=1, keepdims=True)
+    mean /= flat.shape[1]
+    flat -= mean
+    scratch = np.empty_like(fields)
+    axes = _spectral_plan(grid)[1]
+    for plan in axes:
+        _dct(fields, scratch, plan, inverse=False)
+    fields *= decay
+    for plan in axes:
+        _dct(fields, scratch, plan, inverse=True)
+    flat += mean
+
+
+def _absorb(fields: np.ndarray, tau: float, params: ModelParams) -> None:
+    """R: exact absorption in place, w <- w * exp(-tau (alpha u + beta v))."""
+    decay = (-tau * params.alpha) * fields[0]
+    decay += (-tau * params.beta) * fields[1]
+    np.exp(decay, out=decay)
+    fields[2] *= decay
+
+
+def _transport(
+    dens: np.ndarray,
+    w: np.ndarray,
+    scales: list[np.ndarray],
+    grid: Grid,
+    scheme: str,
+    out: np.ndarray,
+) -> None:
+    """Add dt times the chemotaxis part of :func:`rhs` of the stacked
+    densities ``dens`` (species first) to ``out``; ``scales`` holds per
+    axis the sensitivity of each species times dt / h^2."""
+    dim = grid.dim
+    for axis, scale in enumerate(scales):
+        lo, hi = _lo(axis + 1, dim + 1), _hi(axis + 1, dim + 1)
+        dw = w[_hi(axis, dim)] - w[_lo(axis, dim)]
+        flux = _face_density(dens[lo], dens[hi], dw, scheme)
+        flux *= dw
+        flux *= scale
+        out[lo] -= flux
+        out[hi] += flux
+        del dw, flux  # freed before the next axis allocates its own
+
+
+def _face_rate(w: np.ndarray, chi: float, grid: Grid, out: np.ndarray) -> np.ndarray:
+    """Add each cell's advective face rate, chi |grad w| / h summed over the
+    cell's faces, to ``out`` and return it: the one bound behind
+    :func:`stable_dt` and the chemotaxis substeps."""
+    for axis, h in enumerate(grid.spacing):
+        lo, hi = _lo(axis, grid.dim), _hi(axis, grid.dim)
+        rate = np.abs(w[hi] - w[lo])
+        rate *= chi / (h * h)
+        out[lo] += rate
+        out[hi] += rate
+        del rate  # freed before the next axis allocates its own
+    return out
+
+
+def _advect(
+    fields: np.ndarray,
+    dt: float,
+    params: ModelParams,
+    grid: Grid,
+    scheme: SchemeOptions,
+) -> None:
+    """A: chemotaxis of u and v with w frozen, by Heun's SSP-RK2, in place.
+
+    Each Heun step is two forward-Euler stages and ends on their average.
+    For upwind, a stage is a convex combination of cell values while its
+    length times :func:`_face_rate` stays at most 1 in every cell.
+    :func:`stable_dt` sees w before D and R, which can steepen it, so A
+    takes the fewest equal Heun steps that keep that bound: one, unless the
+    signal steepened.
+    """
+    dens, w = fields[:2], fields[2]
+    chi_max = max(params.chi1, params.chi2)
+    rate = _face_rate(w, chi_max, grid, np.zeros(grid.shape))
+    needed = dt * float(np.maximum.reduce(rate, axis=None))
+    substeps = math.ceil(needed) if 1.0 < needed < math.inf else 1  # NaN -> 1
+    chi = np.array([params.chi1, params.chi2]).reshape((2,) + (1,) * grid.dim)
+    scales = [chi * (dt / substeps / (h * h)) for h in grid.spacing]
+    for _ in range(substeps):
+        stage = dens.copy()
+        _transport(dens, w, scales, grid, scheme.advection, out=stage)
+        dens += stage
+        _transport(stage, w, scales, grid, scheme.advection, out=dens)
+        dens *= 0.5
+
+
 def stable_dt(
     state: State,
     params: ModelParams,
     grid: Grid,
     scheme: SchemeOptions,
-    _gw: list[np.ndarray] | None = None,
 ) -> float:
-    """Largest explicit step: cfl_safety times the tightest of the
-    diffusive, advective and absorption limits, capped by dt_max."""
-    tiny = np.finfo(float).tiny
-    h_min = min(grid.spacing)
-    limit = h_min * h_min / (2.0 * grid.dim)
-    gw = _interior_gradients(state.w, grid) if _gw is None else _gw
-    g_max = max(float(np.abs(g).max()) for g in gw)
-    chi_max = max(params.chi1, params.chi2)
-    limit = min(limit, h_min / max(chi_max * g_max, tiny))
-    absorb = float((params.alpha * state.u + params.beta * state.v).max())
-    limit = min(limit, 1.0 / max(absorb, tiny))
-    return min(scheme.cfl_safety * limit, scheme.dt_max)
+    """cfl_safety / max over cells of (the sum over the cell's faces of
+    chi |grad w| / h, plus alpha u + beta v), capped by dt_max.
+
+    chi is max(chi1, chi2).  Diffusion and absorption are solved exactly
+    and set no limit of their own, so a flat signal gets the same step on
+    every grid; the absorption rate stays in the bound because the
+    splitting error grows with it.
+    """
+    rate = params.alpha * state.u + params.beta * state.v
+    _face_rate(state.w, max(params.chi1, params.chi2), grid, out=rate)
+    worst = max(float(np.maximum.reduce(rate, axis=None)), _TINY)
+    return min(scheme.cfl_safety / worst, scheme.dt_max)
 
 
 def step(
@@ -209,41 +425,45 @@ def step(
     params: ModelParams,
     grid: Grid,
     scheme: SchemeOptions,
-    _gw: list[np.ndarray] | None = None,
 ) -> State:
-    """One forward-Euler step of length dt.
+    """One Strang step D(dt/2) R(dt/2) A(dt) R(dt/2) D(dt/2) of length dt.
 
-    Masses of u and v are preserved structurally (telescoping fluxes).
-    Raises :class:`PositivityError` when a density or the signal falls
-    below rounding tolerance, and :class:`BlowUpDetected` on NaN or when a
-    density norm crosses the divergence sentinel.  Rounding-level negative
-    signal values are clipped to zero, which the signal's maximum principle
-    justifies.
+    Masses of u and v are preserved up to rounding: D keeps each field's
+    mean and A is in divergence form.  Raises :class:`PositivityError` when
+    a density or the signal falls below rounding tolerance, and
+    :class:`BlowUpDetected` on NaN or when a density norm crosses the
+    divergence sentinel.  Rounding-level negative signal values are
+    clipped to zero, which the signal's maximum principle justifies.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    du, dv, dw = rhs(state, params, grid, scheme, _gw=_gw)
+    fields = np.concatenate((state.u, state.v, state.w)).reshape((3,) + grid.shape)
+    decay = np.multiply(_spectral_plan(grid)[0], 0.5 * dt)
+    np.exp(decay, out=decay)
+    _diffuse(fields, decay, grid)
+    _absorb(fields, 0.5 * dt, params)
+    _advect(fields, dt, params, grid, scheme)
+    _absorb(fields, 0.5 * dt, params)
+    _diffuse(fields, decay, grid)
     t_new = state.t + dt
-    u = state.u + dt * du
-    v = state.v + dt * dv
-    w = state.w + dt * dw
-    for name, arr in (("u", u), ("v", v), ("w", w)):
-        mn = float(arr.min())
+    flat = fields.reshape(3, -1)
+    lows = np.minimum.reduce(flat, axis=1)
+    for name, arr, mn in zip("uvw", fields, lows.tolist()):
         if math.isnan(mn):
             raise BlowUpDetected(t_new, name, _first_bad_cell(np.isnan(arr)), mn)
         if mn < _NEGATIVITY_TOL:
             raise PositivityError(
                 f"positivity violation in {name} at t={t_new}: min {mn} at cell "
-                f"{_first_bad_cell(arr == arr.min())} "
+                f"{_first_bad_cell(arr == mn)} "
                 "(reduce dt or switch to upwind)"
             )
-        if name == "w" and mn < 0.0:
-            w = np.maximum(w, 0.0)
-    for name, arr in (("u", u), ("v", v)):
-        mx = float(arr.max())
+    if lows[2] < 0.0:
+        np.maximum(fields[2], 0.0, out=fields[2])
+    highs = np.maximum.reduce(flat[:2], axis=1).tolist()
+    for name, arr, mx in zip("uv", fields, highs):
         if mx > scheme.blowup_linf:
-            raise BlowUpDetected(t_new, name, _first_bad_cell(arr == arr.max()), mx)
-    return State(t=t_new, u=u, v=v, w=w)
+            raise BlowUpDetected(t_new, name, _first_bad_cell(arr == mx), mx)
+    return State(t=t_new, u=fields[0], v=fields[1], w=fields[2])
 
 
 @dataclass(frozen=True)
@@ -268,6 +488,7 @@ class RunResult:
     final_state: State
     records: tuple[DiagnosticsRecord, ...]
     context: RunContext
+    steps: int = 0  # completed steps; a blow-up's failed step is not counted
     blowup: BlowUpInfo | None = None
 
 
@@ -324,13 +545,13 @@ def run(config: ScenarioConfig) -> RunResult:
     records = [record(state, ctx, None)]
     t_end = config.t_end
     k = 1
+    steps = 0
     while state.t < t_end:
         target = k * config.output_every
         if target >= t_end or (t_end - target) < 1e-12 * t_end:
             target = t_end
         while state.t < target:
-            gw = _interior_gradients(state.w, grid)
-            dt_stable = stable_dt(state, params, grid, opts, _gw=gw)
+            dt_stable = stable_dt(state, params, grid, opts)
             if dt_stable < _DT_FLOOR:
                 raise SolverError(
                     f"stability requires dt < {_DT_FLOOR} at t={state.t}; giving up"
@@ -339,16 +560,18 @@ def run(config: ScenarioConfig) -> RunResult:
             landed = dt_stable >= remaining
             dt = remaining if landed else dt_stable
             try:
-                state = step(state, dt, params, grid, opts, _gw=gw)
+                state = step(state, dt, params, grid, opts)
             except BlowUpDetected as exc:
                 return RunResult(
                     outcome="blowup",
                     final_state=state,
                     records=tuple(records),
                     context=ctx,
+                    steps=steps,
                     blowup=BlowUpInfo(exc.time, exc.field, exc.cell, exc.value),
                 )
-            if landed:
+            steps += 1
+            if landed and state.t != target:
                 state = replace(state, t=target)
         records.append(record(state, ctx, records[-1]))
         k += 1
@@ -357,4 +580,5 @@ def run(config: ScenarioConfig) -> RunResult:
         final_state=state,
         records=tuple(records),
         context=ctx,
+        steps=steps,
     )

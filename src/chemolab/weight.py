@@ -111,7 +111,7 @@ class WeightFunction:
     def _angle(self, s):
         """Tangent argument kappa*s + theta0, after checking s is in [0, m]."""
         s = np.asarray(s, dtype=float)
-        if np.any(s < 0.0) or np.any(s > self.m):
+        if s.size and (s.min() < 0.0 or s.max() > self.m):
             raise ValueError(f"s must lie in [0, {self.m}]")
         return self.kappa * s + self.theta0
 

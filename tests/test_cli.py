@@ -104,6 +104,16 @@ def test_parse_rejects_dim_mismatch_and_bad_kind(tmp_path):
         parse_config(write_config(tmp_path, bad))
 
 
+def test_parse_rejects_fractional_cell_counts(tmp_path):
+    bad = minimal_config()
+    bad["grid"]["cells"] = [8.7, 8]
+    with pytest.raises(ConfigError, match="grid.cells must be whole numbers, got 8.7"):
+        parse_config(write_config(tmp_path, bad))
+    whole = minimal_config()
+    whole["grid"]["cells"] = [8.0, 8]
+    assert parse_config(write_config(tmp_path, whole)).grid.cells == (8, 8)
+
+
 def test_parse_weight_group(tmp_path):
     cfg = minimal_config(weight={"p": 2.0, "eps": 0.3})
     parsed = parse_config(write_config(tmp_path, cfg))
@@ -139,6 +149,24 @@ def test_digest_stable_across_key_order(tmp_path):
     changed["time"]["t_end"] = 0.2
     c = parse_config(write_config(tmp_path, changed, "c.json"))
     assert config_digest(a) != config_digest(c)
+
+
+def test_digest_identifies_file_inputs_by_content(tmp_path):
+    g = Grid(lengths=(1.0, 1.0), cells=(8, 8))
+    cfg = minimal_config()
+    for name in "uvw":
+        cfg["initial"][name] = {"kind": "file", "path": f"{name}.raw"}
+    digests = []
+    for where in ("first", "second"):
+        folder = tmp_path / where
+        folder.mkdir()
+        for name, value in (("u", 1.0), ("v", 1.0), ("w", 0.5)):
+            write_field_raw(np.full(g.shape, value), folder / f"{name}.raw")
+        digests.append(config_digest(parse_config(write_config(folder, cfg))))
+    assert digests[0] == digests[1]  # same bytes, different paths
+    write_field_raw(np.full(g.shape, 0.25), tmp_path / "second" / "w.raw")
+    rewritten = parse_config(tmp_path / "second" / "scenario.json")
+    assert config_digest(rewritten) != digests[0]
 
 
 README_CONFIG = {
@@ -213,6 +241,7 @@ def test_cmd_run_passing_scenario_exits_zero(tmp_path):
     assert manifest["checks_passed"] is True
     assert manifest["tool_version"]
     assert manifest["started"] <= manifest["finished"]
+    assert manifest["steps"] == run(parse_config(cfg_path)).steps > 0
 
 
 def test_cmd_run_snapshot_is_restart_capable(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from chemolab.diagnostics import (
     DecayFitError,
+    DiagnosticsRecord,
     RunContext,
     dirichlet_energy,
     fit_decay,
@@ -11,8 +12,8 @@ from chemolab.diagnostics import (
     record,
     verify_run,
 )
-from chemolab.model import Grid, ModelParams, State
-from chemolab.solver import run
+from chemolab.model import Grid, ModelParams, State, _hi, _lo
+from chemolab.solver import run, stable_dt, step
 from chemolab.weight import make_weight
 from tests.conftest import reference_scenario
 
@@ -159,6 +160,71 @@ def test_record_trapezoid_increment():
     rec1 = record(st1, _ctx(g), rec0)
     assert rec1.dirichlet_w == rec0.dirichlet_w
     assert rec1.cum_dirichlet_w == pytest.approx(0.5 * rec0.dirichlet_w, rel=1e-14)
+
+
+def _record_one_field_at_a_time(state, ctx, prev):
+    """record as it was written before it stacked the fields: one NumPy
+    pass per field and quantity.  The reference for bit-identity."""
+    grid = ctx.grid
+
+    def integral(f):
+        return grid.volume_element * float(np.sum(f))
+
+    def energy(f):
+        total = 0.0
+        for axis, h in enumerate(grid.spacing):
+            diff = (f[_hi(axis, grid.dim)] - f[_lo(axis, grid.dim)]) / h
+            total += integral(diff * diff)
+        return total
+
+    du, dv, dw = energy(state.u), energy(state.v), energy(state.w)
+    if prev is None:
+        cums = (0.0, 0.0, 0.0)
+    else:
+        half_dt = 0.5 * (state.t - prev.t)
+        cums = (
+            prev.cum_dirichlet_u + half_dt * (prev.dirichlet_u + du),
+            prev.cum_dirichlet_v + half_dt * (prev.dirichlet_v + dv),
+            prev.cum_dirichlet_w + half_dt * (prev.dirichlet_w + dw),
+        )
+    wf = ctx.weight
+    phi = wf.phi(ctx.params.chi1 * state.w)
+    lyap = (1.0 / wf.p) * integral(state.u**wf.p * phi)
+    return DiagnosticsRecord(
+        t=float(state.t),
+        mass_u=integral(state.u),
+        mass_v=integral(state.v),
+        linf_u=float(np.abs(state.u).max()),
+        linf_v=float(np.abs(state.v).max()),
+        linf_w=float(np.abs(state.w).max()),
+        dev_u=float(np.abs(state.u - ctx.ubar0).max()),
+        dev_v=float(np.abs(state.v - ctx.vbar0).max()),
+        lyapunov=lyap,
+        dirichlet_u=du,
+        dirichlet_v=dv,
+        dirichlet_w=dw,
+        cum_dirichlet_u=cums[0],
+        cum_dirichlet_v=cums[1],
+        cum_dirichlet_w=cums[2],
+    )
+
+
+@pytest.mark.parametrize("cells", [(256,), (32, 32), (12, 10, 8)])
+def test_record_is_bit_identical_to_one_field_at_a_time(cells):
+    config = reference_scenario(cells=cells, scheme="upwind")
+    grid, params = config.grid, config.params
+    u, v, w = config.initial.build(grid)
+    ctx = RunContext(
+        grid=grid, params=params, ubar0=float(u.mean()), vbar0=float(v.mean()),
+        w0_max=float(w.max()), int_w0_sq=mass(w * w, grid),
+        weight=make_weight(2.0, 0.3, float(w.max())),
+    )
+    state, new, old = State(0.0, u, v, w), None, None
+    for _ in range(4):
+        new, old = record(state, ctx, new), _record_one_field_at_a_time(state, ctx, old)
+        assert new == old
+        dt = stable_dt(state, params, grid, config.options)
+        state = step(state, dt, params, grid, config.options)
 
 
 # --------------------------------------------------------------- fit_decay

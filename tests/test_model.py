@@ -53,6 +53,11 @@ def test_grid_guards():
         Grid(lengths=(0.0,), cells=(4,))
     with pytest.raises(ValueError):
         Grid(lengths=(1.0,), cells=(1,))
+    with pytest.raises(ValueError, match="grid.cells must be whole numbers"):
+        Grid(lengths=(1.0,), cells=(8.7,))
+    with pytest.raises(ValueError, match="grid.cells"):
+        Grid(lengths=(1.0,), cells=(True,))
+    assert Grid(lengths=(1.0,), cells=(np.int64(8),)).cells == (8,)
 
 
 def test_state_fields_are_read_only():

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from chemolab import solver
 from chemolab.model import (
     ConstantInit,
     CosineBumpInit,
@@ -111,8 +114,8 @@ def test_upwind_selects_upstream_cell():
         ("upwind", -x, [-6.0, -7.0, -8.0]),
         # central: the face carries the average of its two cells
         ("central", x, [-2.5, -1.5, -0.5]),
-        # velocities 0, +1, 0: a face with exactly zero velocity carries the
-        # average, which the zero velocity cancels to pure diffusion
+        # velocities 0, +1, 0: a face with exactly zero velocity carries no
+        # advective flux, whichever cell it reads: pure diffusion
         ("upwind", np.array([0.5, 0.5, 0.75, 0.75]), [-4.0, -2.0, -4.0]),
     ]
     for scheme, w, expected in cases:
@@ -244,12 +247,14 @@ def test_rhs_manufactured_solution_order(scheme, min_order):
 # ---------------------------------------------------------------- stable_dt
 
 
-def test_stable_dt_diffusion_limited():
-    g = grid1d(16)
-    st = State(0.0, np.ones(16), np.ones(16), np.full(16, 0.5))
-    h = g.spacing[0]
-    dt = stable_dt(st, PARAMS, g, CENTRAL)
-    assert dt == pytest.approx(0.5 * h * h / 2.0, rel=1e-13)
+def test_stable_dt_on_flat_signal_is_absorption_limited_and_independent_of_h():
+    # no gradient, no advective rate: only alpha u + beta v = 2 bounds the
+    # step, whatever the grid, since diffusion is solved exactly
+    for m in (16, 32, 64):
+        g = grid1d(m)
+        st = State(0.0, np.ones(m), np.ones(m), np.full(m, 0.5))
+        assert stable_dt(st, PARAMS, g, CENTRAL) == pytest.approx(0.5 / 2.0, rel=1e-15)
+        assert stable_dt(st, PARAMS, g, UPWIND) == stable_dt(st, PARAMS, g, CENTRAL)
 
 
 def test_stable_dt_absorption_limited():
@@ -260,19 +265,24 @@ def test_stable_dt_absorption_limited():
 
 
 def test_stable_dt_advection_limited():
+    # w = 40 x: every interior cell has two faces with chi |grad w| / h =
+    # 40 / h, plus the absorption rate 2; the boundary cells have one face
     g = grid1d(16)
     st = State(0.0, np.ones(16), np.ones(16), 40.0 * g.cell_centers(0))
+    h = g.spacing[0]
     dt = stable_dt(st, PARAMS, g, CENTRAL)
-    assert dt == pytest.approx(0.5 * g.spacing[0] / 40.0, rel=1e-12)
+    assert dt == pytest.approx(0.5 / (2.0 * 40.0 / h + 2.0), rel=1e-12)
+    # the rate is per cell, not the tightest of separate limits
+    assert dt < 0.5 * h / (2.0 * 40.0)
 
 
-def test_stable_dt_quarters_under_refinement():
-    def diff_dt(m):
-        g = grid1d(m)
-        st = State(0.0, np.ones(m), np.ones(m), np.full(m, 0.5))
-        return stable_dt(st, PARAMS, g, CENTRAL)
-
-    assert diff_dt(32) == pytest.approx(diff_dt(16) / 4.0, rel=1e-12)
+def test_stable_dt_uses_the_larger_sensitivity():
+    g = grid1d(16)
+    st = State(0.0, np.ones(16), np.ones(16), 40.0 * g.cell_centers(0))
+    h = g.spacing[0]
+    params = ModelParams(1.0, 3.0, 1.0, 1.0)
+    dt = stable_dt(st, params, g, UPWIND)
+    assert dt == pytest.approx(0.5 / (2.0 * 3.0 * 40.0 / h + 2.0), rel=1e-12)
 
 
 def test_stable_dt_caps_at_dt_max():
@@ -285,15 +295,17 @@ def test_stable_dt_caps_at_dt_max():
 # -------------------------------------------------------------------- step
 
 
-def test_step_homogeneous_is_exact_euler():
+def test_step_homogeneous_is_exact():
+    # diffusion and chemotaxis leave constants exactly alone; absorption is
+    # solved exactly, so w decays by exp(-(alpha + beta) dt) up to rounding
     g = Grid(lengths=(1.0, 1.0), cells=(8, 8))
     st = State(0.0, np.full((8, 8), 1.0), np.full((8, 8), 1.0), np.full((8, 8), 0.5))
-    dt = 1e-3
-    nxt = step(st, dt, PARAMS, g, CENTRAL)
-    assert np.array_equal(nxt.u, st.u)
-    assert np.array_equal(nxt.v, st.v)
-    assert np.allclose(nxt.w, 0.5 * (1.0 - dt * 2.0), rtol=1e-15)
-    assert nxt.t == dt
+    for dt in (1e-3, 0.1, 2.0):
+        nxt = step(st, dt, PARAMS, g, CENTRAL)
+        assert np.array_equal(nxt.u, st.u)
+        assert np.array_equal(nxt.v, st.v)
+        np.testing.assert_allclose(nxt.w, 0.5 * math.exp(-2.0 * dt), rtol=1e-15, atol=0)
+        assert nxt.t == dt
 
 
 def test_step_preserves_mass_per_step():
@@ -312,6 +324,8 @@ def test_step_preserves_mass_per_step():
 
 
 def test_step_two_halves_versus_one_full_is_second_order():
+    # a second-order step has local error O(dt^3): halving dt divides the
+    # gap between one full step and two half steps by 8
     g, st, _ = _manufactured_1d(32)
     params = ModelParams(1.0, 0.5, 1.0, 1.0)
 
@@ -322,17 +336,21 @@ def test_step_two_halves_versus_one_full_is_second_order():
 
     dt0 = 1e-4
     ratio = gap(dt0) / gap(dt0 / 2.0)
-    assert 3.5 <= ratio <= 4.5
+    assert 7.5 <= ratio <= 8.5
 
 
 def test_step_raises_on_positivity_loss():
-    g = grid1d(16)
-    u = np.full(16, 1e-6)
-    u[8] = 1.0
-    st = State(0.0, u, np.ones(16), np.full(16, 0.1))
-    h = g.spacing[0]
+    # checkerboard signal with the density piled on its peaks: even at
+    # stable_dt, central face averages drain the troughs below zero, while
+    # upwind stays positive
+    g = grid1d(8)
+    peaks = np.arange(8) % 2 == 0
+    st = State(0.0, np.where(peaks, 1.0, 0.1), np.ones(8), np.where(peaks, 1.0, 0.0))
+    params = ModelParams(5.0, 5.0, 1.0, 1.0)
     with pytest.raises(PositivityError, match="reduce dt or switch to upwind"):
-        step(st, h * h, PARAMS, g, CENTRAL)  # deliberately past the limit
+        step(st, stable_dt(st, params, g, CENTRAL), params, g, CENTRAL)
+    nxt = step(st, stable_dt(st, params, g, UPWIND), params, g, UPWIND)
+    assert nxt.u.min() >= 0.0
 
 
 def test_step_signals_blowup_on_nan():
@@ -352,6 +370,139 @@ def test_step_signals_blowup_on_sentinel():
     opts = SchemeOptions(blowup_linf=2.0)
     with pytest.raises(BlowUpDetected, match="divergence in u"):
         step(st, 1e-8, PARAMS, g, opts)
+
+
+# ------------------------------------------------------- split operators
+
+
+def _generator(op, fields, tau=1e-7):
+    """d/dtau of op at tau = 0, read off two short steps by Richardson
+    extrapolation (exact for a flow that is quadratic in tau, like Heun's)."""
+    one, two = fields.copy(), fields.copy()
+    op(one, tau)
+    op(two, 2.0 * tau)
+    return (4.0 * (one - fields) - (two - fields)) / (2.0 * tau)
+
+
+@pytest.mark.parametrize("opts", [CENTRAL, UPWIND], ids=["central", "upwind"])
+def test_split_generators_sum_to_rhs(opts):
+    # D, R and A are the flows of the diffusion, absorption and chemotaxis
+    # parts of rhs, so their generators add up to rhs; odd and even cell
+    # counts, unequal sides
+    rng = np.random.default_rng(5)
+    g = Grid(lengths=(1.0, 0.8), cells=(12, 9))
+    fields = 1.0 + rng.random((3,) + g.shape)
+    fields[2] -= 1.0
+    params = ModelParams(1.3, 0.7, 0.9, 1.1)
+    eig = solver._spectral_plan(g)[0]
+
+    def diffuse(f, tau):
+        solver._diffuse(f, np.exp(tau * eig), g)
+
+    diffusion = _generator(diffuse, fields)
+    absorption = _generator(lambda f, tau: solver._absorb(f, tau, params), fields)
+    chemotaxis = _generator(
+        lambda f, tau: solver._advect(f, tau, params, g, opts), fields
+    )
+    expected = np.stack(rhs(State(0.0, *fields), params, g, opts))
+    scale = np.abs(expected).max()
+    assert np.abs(diffusion + absorption + chemotaxis - expected).max() <= 1e-6 * scale
+    # each part on its own: R only moves w, A only u and v, and D moves all
+    # three by the flux-form Laplacian
+    assert np.all(absorption[:2] == 0.0) and np.all(chemotaxis[2] == 0.0)
+    for f, got in zip(fields, diffusion):
+        gws = enumerate(grad_w_faces(f, g))
+        fluxes = [species_flux(f, 0.0, gw, "central", g, k) for k, gw in gws]
+        laplacian = -divergence(fluxes, g)
+        assert np.abs(got - laplacian).max() <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("cells", [(7,), (16,), (6, 5), (4, 3, 5)])
+def test_diffusion_is_exact_on_eigenmodes(cells):
+    # cos(k pi x / L) at the cell centers is an eigenvector of the zero-flux
+    # Laplacian with eigenvalue -(4/h^2) sin^2(k pi / (2m)); D(tau) scales its
+    # zero-mean part by exp(tau * eigenvalue) and keeps the mean
+    g = Grid(lengths=tuple(0.5 + 0.25 * k for k in range(len(cells))), cells=cells)
+    tau = 3e-3
+    fields = np.empty((3,) + g.shape)
+    expected = np.empty_like(fields)
+    axes = list(zip(g.center_mesh(), cells, g.spacing, g.lengths))
+    for n, k in enumerate((1, 2, 3)):
+        mode, rate = np.ones(g.shape), 0.0
+        for axis, (x, m, h, L) in enumerate(axes):
+            kk = min(k + axis, m - 1)
+            mode = mode * np.cos(kk * np.pi * x / L)
+            rate += -(4.0 / h**2) * math.sin(kk * math.pi / (2 * m)) ** 2
+        fields[n] = 2.0 + mode
+        expected[n] = 2.0 + math.exp(tau * rate) * mode
+    solver._diffuse(fields, np.exp(tau * solver._spectral_plan(g)[0]), g)
+    np.testing.assert_allclose(fields, expected, rtol=0, atol=1e-14)
+
+
+_CELLS = {1: 24, 2: 12, 3: 6}
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    dim=hst.integers(1, 3),
+    data=hst.data(),
+    kind=hst.sampled_from(["checkerboard", "spike", "random", "contrast"]),
+    length=hst.floats(0.25, 4.0),
+    # the extremes chi = 10 and cfl_safety = 1 are drawn often: the bound is
+    # tightest there
+    chi=hst.tuples(*[hst.just(10.0) | hst.floats(0.01, 10.0)] * 2),
+    rates=hst.tuples(*[hst.floats(-2.0, 0.7).map(lambda e: 10.0**e)] * 2),
+    cfl=hst.just(1.0) | hst.floats(1e-3, 1.0),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_upwind_never_loses_positivity_at_stable_dt(
+    dim, data, kind, length, chi, rates, cfl, seed
+):
+    # one step at stable_dt never raises PositivityError, for any cfl_safety
+    # the config accepts, and keeps both masses to rounding
+    cells = tuple(data.draw(hst.integers(2, _CELLS[dim])) for _ in range(dim))
+    g = Grid(lengths=(length,) * dim, cells=cells)
+    rng = np.random.default_rng(seed)
+    odd = np.indices(cells).sum(axis=0) % 2 == 1
+    if kind == "checkerboard":
+        w = np.where(odd, rng.uniform(0.0, 2.0), rng.uniform(0.0, 0.1))
+        u = np.where(odd, 1.0, rng.uniform(1e-3, 1.0))
+    elif kind == "spike":
+        w = np.full(cells, rng.uniform(0.0, 0.1))
+        w[tuple(rng.integers(m) for m in cells)] = rng.uniform(0.5, 2.0)
+        u = np.full(cells, rng.uniform(1e-3, 1.0))
+        u[tuple(rng.integers(m) for m in cells)] = rng.uniform(1.0, 10.0)
+    elif kind == "random":
+        w = rng.uniform(0.0, 2.0, cells)
+        u = rng.uniform(1e-3, 2.0, cells)
+    else:  # flat signal that absorption by contrasting densities steepens
+        w = np.full(cells, rng.uniform(0.1, 2.0))
+        u = np.where(odd, 1e-3, rng.uniform(1.0, 10.0))
+    if kind == "contrast":
+        v = np.where(odd, rng.uniform(1.0, 10.0), 1e-3)
+    else:
+        v = rng.uniform(1e-3, 2.0, cells)
+    params = ModelParams(chi[0], chi[1], rates[0], rates[1])
+    opts = SchemeOptions(advection="upwind", cfl_safety=cfl)
+    before = State(0.0, u, v, w)
+    after = step(before, stable_dt(before, params, g, opts), params, g, opts)
+    for old, new in ((before.u, after.u), (before.v, after.v)):
+        assert abs(new.sum() - old.sum()) <= 1e-13 * old.sum()
+
+
+def test_upwind_chemotaxis_splits_when_the_signal_steepens():
+    # stable_dt sees a flat signal, but absorption by the contrasting
+    # densities steepens it before the chemotaxis stage: in one Heun step
+    # that stage would not be a convex combination and u would go negative
+    g = grid1d(4)
+    odd = np.arange(4) % 2 == 1
+    u, v = np.where(odd, 1e-3, 10.0), np.where(odd, 10.0, 1e-3)
+    st = State(0.0, u, v, np.full(4, 2.0))
+    params = ModelParams(10.0, 10.0, 0.02, 3.0)
+    opts = SchemeOptions(advection="upwind", cfl_safety=1.0)
+    nxt = step(st, stable_dt(st, params, g, opts), params, g, opts)
+    assert nxt.u.min() >= 0.0 and nxt.v.min() >= 0.0
+    assert abs(nxt.u.sum() - st.u.sum()) <= 1e-13 * st.u.sum()
 
 
 # ------------------------------------------------------------- equivariance
@@ -397,9 +548,9 @@ def test_run_homogeneous_short():
     assert res.final_state.t == 0.25
     times = [r.t for r in res.records]
     assert times == sorted(times)
-    # exact homogeneous solution w0 * exp(-2t); dt here is 4.9e-4, so the
-    # first-order Euler error budget is ~2e-4
-    assert res.records[-1].linf_w == pytest.approx(0.5 * math.exp(-0.5), abs=2e-4)
+    # exact homogeneous solution w0 * exp(-2t): the stepper solves the
+    # absorption exactly, so only rounding separates the two
+    assert res.records[-1].linf_w == pytest.approx(0.5 * math.exp(-0.5), rel=1e-13)
     assert np.ptp(res.final_state.u) == 0.0
 
 
@@ -455,3 +606,9 @@ def test_run_reports_blowup_via_sentinel():
     assert res.blowup.value > 3.0
     assert 0.0 < res.blowup.time < 2.0
     assert len(res.blowup.cell) == 1
+
+
+def test_reference_run_takes_at_most_400_steps(reference_run):
+    # the split step needs ~212 steps for the 64^2 run to t = 5; a diffusive
+    # step limit (dt ~ h^2) would need ~164k
+    assert reference_run.steps <= 400
