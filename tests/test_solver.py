@@ -247,14 +247,31 @@ def test_rhs_manufactured_solution_order(scheme, min_order):
 # ---------------------------------------------------------------- stable_dt
 
 
-def test_stable_dt_on_flat_signal_is_absorption_limited_and_independent_of_h():
-    # no gradient, no advective rate: only alpha u + beta v = 2 bounds the
-    # step, whatever the grid, since diffusion is solved exactly
-    for m in (16, 32, 64):
+def test_stable_dt_diffusion_limited():
+    # diffusion is solved exactly and sets no limit: on a flat signal there
+    # is no advective rate, so only alpha u + beta v = 2 bounds the step,
+    # not the explicit diffusive bound cfl_safety h^2 / 2
+    g = grid1d(16)
+    st = State(0.0, np.ones(16), np.ones(16), np.full(16, 0.5))
+    h = g.spacing[0]
+    dt = stable_dt(st, PARAMS, g, CENTRAL)
+    assert dt == pytest.approx(0.5 / 2.0, rel=1e-15)
+    assert dt > 0.5 * h * h / 2.0
+    assert stable_dt(st, PARAMS, g, UPWIND) == dt
+
+
+def test_stable_dt_quarters_under_refinement():
+    # an explicit diffusive bound would quarter the step at each halving
+    # of h; with exact diffusion the flat-signal step is the same on
+    # 16, 32 and 64 cells
+    def flat_dt(m):
         g = grid1d(m)
         st = State(0.0, np.ones(m), np.ones(m), np.full(m, 0.5))
-        assert stable_dt(st, PARAMS, g, CENTRAL) == pytest.approx(0.5 / 2.0, rel=1e-15)
-        assert stable_dt(st, PARAMS, g, UPWIND) == stable_dt(st, PARAMS, g, CENTRAL)
+        return stable_dt(st, PARAMS, g, CENTRAL)
+
+    assert flat_dt(16) == pytest.approx(0.5 / 2.0, rel=1e-15)
+    assert flat_dt(32) == flat_dt(16)
+    assert flat_dt(64) == flat_dt(16)
 
 
 def test_stable_dt_absorption_limited():
