@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -64,11 +63,6 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _out_dir(args) -> Path:
-    env = os.environ.get("CHEMOLAB_OUT")
-    return Path(env if env else args.out)
-
-
 def _write_snapshot(result: RunResult, outdir: Path) -> list[str]:
     """Final fields in the raw format plus a grid-metadata sidecar, so a
     later config can restart from them via file initializers."""
@@ -97,7 +91,7 @@ def _write_snapshot(result: RunResult, outdir: Path) -> list[str]:
 
 def cmd_run(args) -> int:
     config = parse_config(args.config)
-    outdir = _out_dir(args)
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     started = _now()
 
@@ -242,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="integrate a scenario and emit diagnostics")
     p_run.add_argument("--config", required=True, help="scenario config JSON")
-    p_run.add_argument("--out", default=".", help="output directory (env CHEMOLAB_OUT overrides)")
+    p_run.add_argument("--out", default=".", help="output directory")
     p_run.add_argument("--quiet", action="store_true", help="suppress progress messages")
     p_run.set_defaults(func=cmd_run)
 

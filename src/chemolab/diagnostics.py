@@ -31,6 +31,15 @@ __all__ = [
     "verify_run",
 ]
 
+# verify_run's thresholds
+_MASS_TOL = 1e-10  # relative drift of the integrals of u and v
+_ENVELOPE_TOL = 1e-12  # excess of max w over ||w0||_inf, and its growth per sample
+_ENERGY_BUDGET_TOL = 1e-8  # excess of int int |grad w|^2 over half int w0^2
+_TAIL_FRACTION = 0.25  # trailing share of the run for the Dirichlet increments
+_TAIL_INCREMENT_TOL = 0.01  # their allowed share of the whole integral
+_END_STATE_TOL = 1e-3  # distance of u, v and w from their limits at t_end
+_DECAY_WINDOW_FRACTION = 0.5  # trailing share of the samples fit_decay uses
+
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
@@ -184,29 +193,21 @@ class DecayFit:
     t_start: float  # first time in the fit window
     rate: float  # fitted exponential decay rate of linf_w
     r_squared: float
-    reference_rate: float  # alpha*ubar0 + beta*vbar0
-    half_reference: float
 
     def __post_init__(self) -> None:
         if not -1e-12 <= self.r_squared <= 1.0 + 1e-12:
             raise ValueError(f"r_squared out of [0, 1]: {self.r_squared}")
 
 
-def fit_decay(
-    series: Iterable[tuple[float, float]],
-    window_fraction: float = 0.5,
-    reference_rate: float = 0.0,
-) -> DecayFit:
+def fit_decay(series: Iterable[tuple[float, float]]) -> DecayFit:
     """Least-squares exponential rate of linf_w over the trailing window.
 
-    Fits -ln(linf_w) against t on the trailing ``window_fraction`` of the
-    samples.  The window defaults to the trailing half because the guaranteed
-    rate only applies once the densities sit near their means.
+    Fits -ln(linf_w) against t on the trailing half of the samples
+    (``_DECAY_WINDOW_FRACTION``), because the guaranteed rate only applies
+    once the densities sit near their means.
     """
     pairs = [(float(t), float(w)) for t, w in series]
-    if not 0.0 < window_fraction <= 1.0:
-        raise ValueError(f"window_fraction must be in (0, 1], got {window_fraction}")
-    n_window = max(int(round(window_fraction * len(pairs))), 3)
+    n_window = max(int(round(_DECAY_WINDOW_FRACTION * len(pairs))), 3)
     window = pairs[-n_window:]
     if len(window) < 3:
         raise DecayFitError(
@@ -229,13 +230,7 @@ def fit_decay(
     ss_res = float(np.sum(resid * resid))
     ss_tot = float(np.sum((y - y_mean) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    return DecayFit(
-        t_start=float(t[0]),
-        rate=rate,
-        r_squared=r2,
-        reference_rate=reference_rate,
-        half_reference=0.5 * reference_rate,
-    )
+    return DecayFit(t_start=float(t[0]), rate=rate, r_squared=r2)
 
 
 @dataclass(frozen=True)
@@ -272,16 +267,7 @@ class VerificationReport:
 
 
 def verify_run(
-    records: Sequence[DiagnosticsRecord],
-    ctx: RunContext,
-    *,
-    mass_tol: float = 1e-10,
-    envelope_tol: float = 1e-12,
-    energy_budget_tol: float = 1e-8,
-    tail_fraction: float = 0.25,
-    tail_increment_tol: float = 0.01,
-    end_state_tol: float = 1e-3,
-    decay_window_fraction: float = 0.5,
+    records: Sequence[DiagnosticsRecord], ctx: RunContext
 ) -> VerificationReport:
     """Check a completed run against the provable solution properties.
 
@@ -300,9 +286,9 @@ def verify_run(
         checks.append(
             CheckResult(
                 name=f"mass_conservation_{name}",
-                passed=drift <= mass_tol,
+                passed=drift <= _MASS_TOL,
                 value=drift,
-                threshold=mass_tol,
+                threshold=_MASS_TOL,
                 detail=f"max relative drift of the discrete integral of {name}",
             )
         )
@@ -315,9 +301,9 @@ def verify_run(
     checks.append(
         CheckResult(
             name="signal_envelope",
-            passed=env_excess <= envelope_tol and growth <= envelope_tol,
+            passed=env_excess <= _ENVELOPE_TOL and growth <= _ENVELOPE_TOL,
             value=max(env_excess, growth),
-            threshold=envelope_tol,
+            threshold=_ENVELOPE_TOL,
             detail=(
                 "max w stays below its initial sup and is nonincreasing; "
                 "nonnegativity is enforced by the stepper at every step"
@@ -330,20 +316,20 @@ def verify_run(
     checks.append(
         CheckResult(
             name="signal_energy_budget",
-            passed=excess <= energy_budget_tol,
+            passed=excess <= _ENERGY_BUDGET_TOL,
             value=excess,
-            threshold=energy_budget_tol,
+            threshold=_ENERGY_BUDGET_TOL,
             detail="cumulative int int |grad w|^2 minus half int w0^2, at every sample",
         )
     )
 
     t_end = records[-1].t
-    tail_start = (1.0 - tail_fraction) * t_end
+    tail_start = (1.0 - _TAIL_FRACTION) * t_end
     tail_idx = next(i for i, r in enumerate(records) if r.t >= tail_start)
     for name in ("u", "v"):
         total = getattr(records[-1], f"cum_dirichlet_{name}")
         increment = total - getattr(records[tail_idx], f"cum_dirichlet_{name}")
-        limit = tail_increment_tol * total + 1e-30
+        limit = _TAIL_INCREMENT_TOL * total + 1e-30
         checks.append(
             CheckResult(
                 name=f"dirichlet_convergence_{name}",
@@ -351,7 +337,7 @@ def verify_run(
                 value=increment,
                 threshold=limit,
                 detail=(
-                    f"trailing-{tail_fraction:.0%} increment of the cumulative "
+                    f"trailing-{_TAIL_FRACTION:.0%} increment of the cumulative "
                     f"int int |grad {name}|^2 (finiteness of the energy integral)"
                 ),
             )
@@ -362,9 +348,9 @@ def verify_run(
     checks.append(
         CheckResult(
             name="end_state",
-            passed=worst_end <= end_state_tol,
+            passed=worst_end <= _END_STATE_TOL,
             value=worst_end,
-            threshold=end_state_tol,
+            threshold=_END_STATE_TOL,
             detail=(
                 "max of ||u-ubar0||_inf, ||v-vbar0||_inf, ||w||_inf at t_end "
                 "(engineering tolerance; no quantitative rate is guaranteed "
@@ -374,21 +360,18 @@ def verify_run(
     )
 
     try:
-        fit = fit_decay(
-            ((r.t, r.linf_w) for r in records),
-            window_fraction=decay_window_fraction,
-            reference_rate=ctx.reference_rate,
-        )
+        fit = fit_decay((r.t, r.linf_w) for r in records)
+        guaranteed = 0.5 * ctx.reference_rate
         checks.append(
             CheckResult(
                 name="decay_rate",
-                passed=fit.rate >= fit.half_reference,
+                passed=fit.rate >= guaranteed,
                 value=fit.rate,
-                threshold=fit.half_reference,
+                threshold=guaranteed,
                 detail=(
                     f"fitted exponential rate of ||w||_inf over the trailing "
-                    f"{decay_window_fraction:.0%} (r^2 = {fit.r_squared:.6f}); "
-                    f"guaranteed rate is half of {fit.reference_rate:.6g}"
+                    f"{_DECAY_WINDOW_FRACTION:.0%} (r^2 = {fit.r_squared:.6f}); "
+                    f"guaranteed rate is half of {ctx.reference_rate:.6g}"
                 ),
             )
         )

@@ -387,6 +387,8 @@ class ScenarioConfig:
             "options",
             SchemeOptions(self.scheme, self.dt_max, self.cfl_safety, self.blowup_linf),
         )
+        if (self.weight_p is None) != (self.weight_eps is None):
+            raise ValueError("weight.p and weight.eps must be given together")
         if self.weight_p is not None and not self.weight_p > 1.0:
             raise ValueError(f"weight.p must be > 1, got {self.weight_p}")
         if self.weight_eps is not None and not (0.0 < self.weight_eps < 1.0):

@@ -5,7 +5,10 @@ box: diffusion by two-point face fluxes, chemotaxis as an advective face
 flux with velocity chi * grad(w), absorption pointwise.  Zero-flux boundary
 faces enforce the no-flux condition exactly inside the discrete conservation
 law, so the discrete integrals of u and v telescope to constants.
-:func:`rhs` is that semi-discrete operator.
+:func:`rhs` is that semi-discrete operator, built from the stepper's own
+kernels at unit time scale.  :func:`grad_w_faces`, :func:`species_flux` and
+:func:`divergence` assemble the same operator face by face, independently;
+they are the reference rhs is tested against.
 
 :func:`step` advances it by Strang splitting, D(dt/2) R(dt/2) A(dt) R(dt/2)
 D(dt/2), second order in dt:
@@ -92,14 +95,6 @@ class BlowUpDetected(SolverError):
         self.value = value
 
 
-def _interior_gradients(w: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    """Per-axis (w_right - w_left)/h on interior faces only."""
-    out = []
-    for axis, h in enumerate(grid.spacing):
-        out.append((w[_hi(axis, grid.dim)] - w[_lo(axis, grid.dim)]) / h)
-    return out
-
-
 # ------------------------------------------------------------- face fluxes
 
 
@@ -107,7 +102,8 @@ def _face_density(
     d_lo: np.ndarray, d_hi: np.ndarray, vel: np.ndarray, scheme: str
 ) -> np.ndarray:
     """Density carried by the faces between the ``d_lo`` and ``d_hi`` cells;
-    the one face-value rule of both :func:`rhs` and the stepper.
+    the one face-value rule of the stepper, :func:`rhs` and the
+    :func:`species_flux` reference.
 
     central: the arithmetic average of the two adjacent cells;
     upwind:  the cell the velocity points away from (a face with zero
@@ -120,17 +116,6 @@ def _face_density(
     return out
 
 
-def _face_flux(
-    density: np.ndarray, vel: np.ndarray, axis: int, scheme: str, grid: Grid
-) -> np.ndarray:
-    """Flux -grad(density) + vel * density_at_face on the interior faces."""
-    d_lo, d_hi = density[_lo(axis, grid.dim)], density[_hi(axis, grid.dim)]
-    flux = _face_density(d_lo, d_hi, vel, scheme)
-    flux *= vel
-    flux -= (d_hi - d_lo) / grid.spacing[axis]
-    return flux
-
-
 def _with_boundary_faces(interior: np.ndarray, axis: int, grid: Grid) -> np.ndarray:
     """Full face array along ``axis``: the zero-flux boundary faces carry 0."""
     return np.pad(interior, [(1, 1) if k == axis else (0, 0) for k in range(grid.dim)])
@@ -141,10 +126,12 @@ def grad_w_faces(w: np.ndarray, grid: Grid) -> list[np.ndarray]:
 
     Face arrays include the boundary faces, which carry exactly zero.
     """
-    return [
-        _with_boundary_faces(g, axis, grid)
-        for axis, g in enumerate(_interior_gradients(np.asarray(w, float), grid))
-    ]
+    w = np.asarray(w, float)
+    faces = []
+    for axis, h in enumerate(grid.spacing):
+        interior = (w[_hi(axis, grid.dim)] - w[_lo(axis, grid.dim)]) / h
+        faces.append(_with_boundary_faces(interior, axis, grid))
+    return faces
 
 
 def species_flux(
@@ -160,9 +147,13 @@ def species_flux(
     ``gw`` is the full face array for this axis (as from
     :func:`grad_w_faces`); boundary faces of the result are exactly zero.
     """
-    vel = chi * gw[_hi(axis, grid.dim)][_lo(axis, grid.dim)]  # interior faces
-    interior = _face_flux(np.asarray(density, float), vel, axis, scheme, grid)
-    return _with_boundary_faces(interior, axis, grid)
+    density = np.asarray(density, float)
+    lo, hi = _lo(axis, grid.dim), _hi(axis, grid.dim)
+    d_lo, d_hi = density[lo], density[hi]
+    vel = chi * gw[hi][lo]  # interior faces
+    flux = _face_density(d_lo, d_hi, vel, scheme) * vel
+    flux -= (d_hi - d_lo) / grid.spacing[axis]
+    return _with_boundary_faces(flux, axis, grid)
 
 
 def divergence(fluxes: list[np.ndarray], grid: Grid) -> np.ndarray:
@@ -181,27 +172,25 @@ def rhs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Semi-discrete right-hand side (du, dv, dw).
 
-    du and dv are divergence-form, so their sums over all cells telescope
-    to zero; dw adds the pointwise absorption sink -(alpha u + beta v) w.
+    The flux-form Laplacian of u, v and w, plus :func:`_transport`'s
+    chemotaxis of u and v, plus the absorption sink -(alpha u + beta v) w
+    on w.  du and dv are divergence-form, so their sums over all cells
+    telescope to zero.
     """
-    u, v, w = state.u, state.v, state.w
-    du = np.zeros(grid.shape)
-    dv = np.zeros(grid.shape)
-    dw = np.zeros(grid.shape)
-    advection = scheme.advection
-    for axis, (h, g) in enumerate(zip(grid.spacing, _interior_gradients(w, grid))):
-        lo = _lo(axis, grid.dim)
-        hi = _hi(axis, grid.dim)
-        for dens, chi, acc in ((u, params.chi1, du), (v, params.chi2, dv)):
-            flux = _face_flux(dens, chi * g, axis, advection, grid)
-            flux /= h
-            acc[lo] -= flux
-            acc[hi] += flux
-        # pure diffusive flux for w: F = -grad(w) = -g
-        dw[lo] += g / h
-        dw[hi] -= g / h
-    dw -= (params.alpha * u + params.beta * v) * w
-    return du, dv, dw
+    fields = np.concatenate((state.u, state.v, state.w)).reshape((3,) + grid.shape)
+    out = np.zeros_like(fields)
+    dim = grid.dim
+    for axis, h in enumerate(grid.spacing):
+        lo, hi = _lo(axis + 1, dim + 1), _hi(axis + 1, dim + 1)
+        flux = fields[hi] - fields[lo]
+        flux /= h * h
+        out[lo] += flux
+        out[hi] -= flux
+    chi = np.array([params.chi1, params.chi2]).reshape((2,) + (1,) * dim)
+    scales = [chi / (h * h) for h in grid.spacing]
+    _transport(fields[:2], fields[2], scales, grid, scheme.advection, out=out[:2])
+    out[2] -= (params.alpha * state.u + params.beta * state.v) * state.w
+    return out[0], out[1], out[2]
 
 
 # ------------------------------------------------------- split operators
@@ -339,9 +328,10 @@ def _transport(
     scheme: str,
     out: np.ndarray,
 ) -> None:
-    """Add dt times the chemotaxis part of :func:`rhs` of the stacked
+    """Add dt times the chemotaxis term -div(chi d grad w) of the stacked
     densities ``dens`` (species first) to ``out``; ``scales`` holds per
-    axis the sensitivity of each species times dt / h^2."""
+    axis the sensitivity of each species times dt / h^2 (dt = 1 in
+    :func:`rhs`)."""
     dim = grid.dim
     for axis, scale in enumerate(scales):
         lo, hi = _lo(axis + 1, dim + 1), _hi(axis + 1, dim + 1)
@@ -502,9 +492,7 @@ def _resolve_weight(
     when the amplitude allows it.
     """
     m = max(params.chi1, params.chi2) * w0_max
-    if config.weight_p is not None or config.weight_eps is not None:
-        if config.weight_p is None or config.weight_eps is None:
-            return None, "weight.p and weight.eps must be given together"
+    if config.weight_p is not None:  # ScenarioConfig holds both or neither
         try:
             return make_weight(config.weight_p, config.weight_eps, m), ""
         except ValueError as exc:

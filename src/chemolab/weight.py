@@ -21,6 +21,7 @@ evaluates its residual so the construction can be checked numerically.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,14 @@ __all__ = [
 # tangent evaluation loses too many digits to be trustworthy.
 _BOUNDARY_MARGIN = 1e-12
 
+# Largest exponent the construction takes: it forms 16 p^2, which must stay a
+# finite float.
+_P_MAX = math.sqrt(sys.float_info.max) / 4.0
+
 
 def _check_p_eps(p: float, eps: float) -> None:
-    if not (p > 1.0 and math.isfinite(p)):
-        raise ValueError(f"p must be a finite real > 1, got {p}")
+    if not 1.0 < p <= _P_MAX:
+        raise ValueError(f"p must be a real in (1, {_P_MAX:.6g}], got {p}")
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie strictly inside (0, 1), got {eps}")
 
@@ -223,36 +228,29 @@ def p_for_equality(m: float, eps: float) -> float:
     Solves ``m = (2/sqrt(p)) * sqrt((1-eps)/(1+eps*p)) * pi/2`` for p, i.e.
     the positive root of ``eps*p^2 + p - pi^2*(1-eps)/m^2``.  The returned p
     always satisfies ``admissible_bound(p, eps) > m`` strictly, because the
-    full bound carries an extra positive arctan term.
+    full bound carries an extra positive arctan term.  Raises ``ValueError``
+    when the root is not a p the weight can use: at most 1 (amplitude too
+    large) or beyond the largest :func:`make_weight` takes (amplitude too
+    small, where the root is not even a finite float).
     """
     if not (m > 0.0 and math.isfinite(m)):
         raise ValueError(f"m must be a finite real > 0, got {m}")
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie strictly inside (0, 1), got {eps}")
-    target = (math.pi * math.pi) * (1.0 - eps) / (m * m)
-    # Stable quadratic root, exact down to eps -> 0 where p -> target.
+    m_sq = m * m  # 0 below m ~ 1.5e-162
+    target = (math.pi * math.pi) * (1.0 - eps) / m_sq if m_sq else math.inf
+    # Stable quadratic root, exact down to eps -> 0 where p -> target; disc
+    # overflows only when the root is far beyond _P_MAX.
     disc = 1.0 + 4.0 * eps * target
-    if math.isfinite(disc):
-        p = 2.0 * target / (1.0 + math.sqrt(disc))
-    else:
-        p = _bisect_p(eps, target)
+    p = 2.0 * target / (1.0 + math.sqrt(disc)) if math.isfinite(disc) else math.inf
     if not (p > 1.0):
         raise ValueError(
             f"no exponent p > 1 solves the amplitude equality for "
             f"m={m}, eps={eps} (amplitude too large)"
         )
+    if not p <= _P_MAX:
+        raise ValueError(
+            f"the exponent solving the amplitude equality for m={m}, eps={eps} "
+            f"exceeds {_P_MAX:.6g}, the largest the weight takes (amplitude too small)"
+        )
     return p
-
-
-def _bisect_p(eps: float, target: float) -> float:
-    """Root of eps*p^2 + p - target by bisection (overflow fallback)."""
-    lo, hi = 0.0, 1.0
-    while eps * hi * hi + hi < target:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if eps * mid * mid + mid < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

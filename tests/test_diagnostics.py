@@ -232,10 +232,9 @@ def test_record_is_bit_identical_to_one_field_at_a_time(cells):
 
 def test_fit_decay_recovers_exact_exponential():
     t = np.linspace(0.0, 5.0, 60)
-    fit = fit_decay(zip(t, np.exp(-2.0 * t)), reference_rate=2.0)
+    fit = fit_decay(zip(t, np.exp(-2.0 * t)))
     assert fit.rate == pytest.approx(2.0, abs=1e-10)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-    assert fit.half_reference == 1.0
     assert fit.t_start >= 2.4  # trailing half
 
 
@@ -255,16 +254,10 @@ def test_fit_decay_declines_bad_windows():
         fit_decay(zip(t, w))
 
 
-def test_fit_decay_window_fraction_guard():
-    t = np.linspace(0.0, 1.0, 10)
-    with pytest.raises(ValueError, match="window_fraction"):
-        fit_decay(zip(t, np.exp(-t)), window_fraction=0.0)
-
-
 def test_fit_decay_on_homogeneous_run(homogeneous_run):
     series = [(r.t, r.linf_w) for r in homogeneous_run.records]
-    fit = fit_decay(series, reference_rate=homogeneous_run.context.reference_rate)
-    assert fit.reference_rate == pytest.approx(2.0, rel=1e-12)
+    fit = fit_decay(series)
+    assert homogeneous_run.context.reference_rate == pytest.approx(2.0, rel=1e-12)
     assert fit.rate == pytest.approx(2.0, rel=0.01)
     assert fit.r_squared > 0.999999
 
@@ -306,6 +299,35 @@ def test_verify_report_serializes():
     d = verify_run(res.records, res.context).to_dict()
     assert set(d) == {"passed", "checks"}
     assert all({"name", "passed", "value", "threshold", "detail"} <= set(c) for c in d["checks"])
+
+
+def test_verify_run_thresholds_are_pinned():
+    # every threshold and window verify_run applies, written out as literals
+    res = run(reference_scenario(cells=(32, 32), t_end=0.5))
+    records, ctx = res.records, res.context
+    by_name = {c.name: c for c in verify_run(records, ctx)}
+    assert len(by_name) == 8
+    for name, threshold in (
+        ("mass_conservation_u", 1e-10),
+        ("mass_conservation_v", 1e-10),
+        ("signal_envelope", 1e-12),
+        ("signal_energy_budget", 1e-8),
+        ("end_state", 1e-3),
+    ):
+        assert by_name[name].threshold == threshold, name
+    tail = next(r for r in records if r.t >= 0.75 * records[-1].t)
+    for name in ("u", "v"):
+        check = by_name[f"dirichlet_convergence_{name}"]
+        total = getattr(records[-1], f"cum_dirichlet_{name}")
+        assert check.threshold == 0.01 * total + 1e-30
+        assert check.value == total - getattr(tail, f"cum_dirichlet_{name}")
+        assert "trailing-25%" in check.detail
+    decay = by_name["decay_rate"]
+    assert decay.threshold == 0.5 * ctx.reference_rate
+    assert "trailing 50%" in decay.detail
+    fit = fit_decay((r.t, r.linf_w) for r in records)
+    assert fit.rate == decay.value
+    assert fit.t_start == records[-round(0.5 * len(records))].t
 
 
 def test_verify_needs_two_records():

@@ -223,3 +223,6 @@ def test_scenario_config_defaults_and_guards():
         ScenarioConfig(
             ModelParams(1, 1, 1, 1), g, spec, t_end=1.0, dt_max=1.0, output_every=0.0
         )
+    for pair in ({"weight_p": 2.0}, {"weight_eps": 0.3}):
+        with pytest.raises(ValueError, match="weight.p and weight.eps"):
+            ScenarioConfig(ModelParams(1, 1, 1, 1), g, spec, t_end=1.0, **pair)

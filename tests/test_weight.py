@@ -272,3 +272,13 @@ def test_p_for_equality_rejects_large_amplitude():
         p_for_equality(0.0, 0.5)
     with pytest.raises(ValueError):
         p_for_equality(1.0, 0.0)
+
+
+def test_p_for_equality_rejects_amplitudes_too_small_for_a_usable_p():
+    # the root grows like 1/m; past sqrt(float max)/4 make_weight's 16 p^2
+    # would overflow, and below m ~ 1.5e-162 m^2 itself underflows to 0
+    for m in (2.3e-154, 1e-160, 1e-170, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match="amplitude too small"):
+            p_for_equality(m, 0.5)
+    with pytest.raises(ValueError, match="p must be"):
+        make_weight(1e200, 0.5, 0.1)
