@@ -2,7 +2,9 @@
 threshold reports, weight-function tables and refinement studies.
 
 Exit codes for ``run``: 0 completed with all checks passing, 2 completed
-with a failed check, 3 blow-up, 1 configuration or I/O error.
+with a failed check, 3 the run ended early (blow-up, positivity loss or a
+stalled step; the manifest holds the failure under the outcome's name),
+1 configuration or I/O error.
 """
 
 from __future__ import annotations
@@ -122,33 +124,27 @@ def cmd_run(args) -> int:
         "steps": result.steps,
         "files": files,
     }
-
-    if result.outcome == "blowup":
-        manifest["blowup"] = result.blowup.to_dict()
-        manifest["finished"] = _now()
-        (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-        say(
-            f"BLOW-UP at t={result.blowup.time:.6g} in {result.blowup.field} "
-            f"at cell {result.blowup.cell} (value {result.blowup.value:.6g})"
+    if result.failure is None:
+        report = verify_run(result.records, result.context)
+        (outdir / "verification.json").write_text(
+            json.dumps(report.to_dict(), indent=2) + "\n"
         )
-        return 3
-
-    report = verify_run(result.records, result.context)
-    (outdir / "verification.json").write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n"
-    )
-    files.append("verification.json")
-    manifest["checks_passed"] = report.passed
+        files.append("verification.json")
+        manifest["checks_passed"] = report.passed
+        for check in report:
+            say(
+                f"check {check.name}: {'pass' if check.passed else 'FAIL'} "
+                f"(value {check.value:.6g}, threshold {check.threshold:.6g})"
+            )
+        code = 0 if report.passed else 2
+    else:
+        manifest[result.outcome] = result.failure.to_dict()
+        say(f"run ended early ({result.outcome}): {result.failure}")
+        code = 3
     manifest["finished"] = _now()
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-    for check in report:
-        say(
-            f"check {check.name}: {'pass' if check.passed else 'FAIL'} "
-            f"(value {check.value:.6g}, threshold {check.threshold:.6g})"
-        )
     say(f"outputs in {outdir}")
-    return 0 if report.passed else 2
+    return code
 
 
 def cmd_threshold(args) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import Grid, ScenarioConfig
-from .solver import run
+from .solver import SolverError, run
 
 __all__ = ["RefinementLevel", "RefinementStudy", "refinement_study", "time_order_study"]
 
@@ -39,6 +39,16 @@ FIELDS = ("u", "v", "w")
 
 def _l2(diff: np.ndarray, grid: Grid) -> float:
     return math.sqrt(grid.volume_element * float(np.sum(diff * diff)))
+
+
+def _final_fields(config: ScenarioConfig, what: str) -> tuple[np.ndarray, ...]:
+    """(u, v, w) at t_end; raises :class:`SolverError` naming ``what`` and
+    the outcome when the run ends early."""
+    result = run(config)
+    if result.failure is not None:
+        raise SolverError(f"{what} ended early ({result.outcome}): {result.failure}")
+    fs = result.final_state
+    return fs.u, fs.v, fs.w
 
 
 @dataclass(frozen=True)
@@ -81,13 +91,8 @@ def refinement_study(config: ScenarioConfig, levels: int = 3) -> RefinementStudy
             grid=_refined(base, factor),
             output_every=config.t_end,  # endpoints only; diagnostics not needed
         )
-        result = run(cfg)
-        if result.outcome != "completed":
-            raise RuntimeError(
-                f"refinement level {cfg.grid.cells} did not complete: {result.outcome}"
-            )
-        fs = result.final_state
-        restricted.append(tuple(_restrict(f, factor) for f in (fs.u, fs.v, fs.w)))
+        finals = _final_fields(cfg, f"refinement level {cfg.grid.cells}")
+        restricted.append(tuple(_restrict(f, factor) for f in finals))
         cells_per_level.append(cfg.grid.cells)
 
     errors = [
@@ -127,11 +132,7 @@ def time_order_study(config: ScenarioConfig, dt0: float) -> tuple[list[float], f
         cfg = replace(
             config, dt_max=dt0 / divisor, output_every=config.t_end
         )
-        result = run(cfg)
-        if result.outcome != "completed":
-            raise RuntimeError(f"time-order run did not complete: {result.outcome}")
-        fs = result.final_state
-        finals.append((fs.u, fs.v, fs.w))
+        finals.append(_final_fields(cfg, f"time-order run at dt {cfg.dt_max}"))
 
     def state_diff(a, b):
         return math.sqrt(

@@ -57,7 +57,7 @@ class DiagnosticsRecord:
     linf_w: float
     dev_u: float  # ||u - ubar0||_inf
     dev_v: float
-    lyapunov: float | None  # (1/p) int u^p phi(chi1 w), if a weight is set
+    lyapunov: float | None  # (1/p) int u^p phi(chi1 w); None: no weight, or not finite
     dirichlet_u: float  # int |grad u|^2 at time t
     dirichlet_v: float
     dirichlet_w: float
@@ -122,7 +122,7 @@ def dirichlet_energy(field: np.ndarray, grid: Grid) -> float:
 
 
 def lyapunov(state: State, wf: WeightFunction, chi: float, grid: Grid) -> float:
-    """Weighted L^p value (1/p) int u^p phi(chi * w)."""
+    """Weighted L^p value (1/p) int u^p phi(chi * w); inf beyond float range."""
     w_scaled_max = chi * float(state.w.max())
     if w_scaled_max > wf.m:
         raise ValueError(
@@ -130,7 +130,8 @@ def lyapunov(state: State, wf: WeightFunction, chi: float, grid: Grid) -> float:
             "(the amplitude bound used to build the weight was too small)"
         )
     phi = wf.phi(chi * state.w)
-    integral = float(np.add.reduce(state.u**wf.p * phi, axis=None))
+    with np.errstate(over="ignore", invalid="ignore"):  # u**p beyond float range
+        integral = float(np.add.reduce(state.u**wf.p * phi, axis=None))
     return (1.0 / wf.p) * grid.volume_element * integral
 
 
@@ -146,6 +147,8 @@ def record(
     lyap = None
     if ctx.weight is not None:  # before stacking, which would add to its peak memory
         lyap = lyapunov(state, ctx.weight, ctx.params.chi1, grid)
+        if not math.isfinite(lyap):  # beyond float range: an empty cell
+            lyap = None
     fields = np.concatenate((state.u, state.v, state.w)).reshape((3,) + grid.shape)
     flat = fields.reshape(3, -1)
     du, dv, dw = _dirichlet_energies(fields, grid).tolist()

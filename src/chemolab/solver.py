@@ -60,7 +60,6 @@ __all__ = [
     "SolverError",
     "PositivityError",
     "BlowUpDetected",
-    "BlowUpInfo",
     "RunResult",
     "grad_w_faces",
     "species_flux",
@@ -77,22 +76,41 @@ _TINY = np.finfo(float).tiny
 
 
 class SolverError(RuntimeError):
-    pass
+    """A run that cannot go on: where and when it failed.
+
+    ``outcome`` names the failure in :class:`RunResult` and in a run's
+    manifest.  This base class is the stalled step loop, where ``value`` is
+    the step it needed and ``field`` and ``cell`` are None.
+    """
+
+    outcome = "stalled"
+
+    def __init__(
+        self,
+        message: str,
+        time: float | None = None,
+        field: str | None = None,
+        cell: tuple[int, ...] | None = None,
+        value: float | None = None,
+    ):
+        super().__init__(message)
+        self.time, self.field, self.cell, self.value = time, field, cell, value
+
+    def to_dict(self) -> dict:
+        cell = None if self.cell is None else list(self.cell)
+        return {"time": self.time, "field": self.field, "cell": cell, "value": self.value}
 
 
 class PositivityError(SolverError):
-    pass
+    outcome = "positivity"
 
 
 class BlowUpDetected(SolverError):
+    outcome = "blowup"
+
     def __init__(self, time: float, field: str, cell: tuple[int, ...], value: float):
-        super().__init__(
-            f"divergence in {field} at t={time}: value {value} at cell {cell}"
-        )
-        self.time = time
-        self.field = field
-        self.cell = cell
-        self.value = value
+        message = f"divergence in {field} at t={time}: value {value} at cell {cell}"
+        super().__init__(message, time, field, cell, value)
 
 
 # ------------------------------------------------------------- face fluxes
@@ -442,10 +460,11 @@ def step(
         if math.isnan(mn):
             raise BlowUpDetected(t_new, name, _first_bad_cell(np.isnan(arr)), mn)
         if mn < _NEGATIVITY_TOL:
+            cell = _first_bad_cell(arr == mn)
             raise PositivityError(
                 f"positivity violation in {name} at t={t_new}: min {mn} at cell "
-                f"{_first_bad_cell(arr == mn)} "
-                "(reduce dt or switch to upwind)"
+                f"{cell} (reduce dt or switch to upwind)",
+                t_new, name, cell, mn,
             )
     if lows[2] < 0.0:
         np.maximum(fields[2], 0.0, out=fields[2])
@@ -457,29 +476,18 @@ def step(
 
 
 @dataclass(frozen=True)
-class BlowUpInfo:
-    time: float
-    field: str
-    cell: tuple[int, ...]
-    value: float
-
-    def to_dict(self) -> dict:
-        return {
-            "time": self.time,
-            "field": self.field,
-            "cell": list(self.cell),
-            "value": self.value,
-        }
-
-
-@dataclass(frozen=True)
 class RunResult:
-    outcome: str  # "completed" or "blowup"
-    final_state: State
+    final_state: State  # the last good state
     records: tuple[DiagnosticsRecord, ...]
     context: RunContext
-    steps: int = 0  # completed steps; a blow-up's failed step is not counted
-    blowup: BlowUpInfo | None = None
+    steps: int = 0  # completed steps; a failed step is not counted
+    failure: SolverError | None = None  # what ended the run early
+
+    @property
+    def outcome(self) -> str:
+        """Either "completed" or the failure's outcome: "blowup",
+        "positivity" or "stalled"."""
+        return "completed" if self.failure is None else self.failure.outcome
 
 
 def _resolve_weight(
@@ -510,9 +518,10 @@ def _resolve_weight(
 def run(config: ScenarioConfig) -> RunResult:
     """Integrate a scenario to t_end with adaptive steps.
 
-    Diagnostics are sampled at multiples of output_every and at t_end.
-    Divergence (sentinel or NaN) ends the run early with a blow-up report
-    instead of raising.
+    Diagnostics are sampled at multiples of output_every and at t_end.  A
+    :class:`SolverError` of the step loop ends the run early instead of
+    raising: it becomes the result's ``failure``, next to the last good
+    state and the records sampled so far.
     """
     grid, params = config.grid, config.params
     init = validate_initial_data(*config.initial.build(grid), grid)
@@ -534,39 +543,29 @@ def run(config: ScenarioConfig) -> RunResult:
     t_end = config.t_end
     k = 1
     steps = 0
-    while state.t < t_end:
-        target = k * config.output_every
-        if target >= t_end or (t_end - target) < 1e-12 * t_end:
-            target = t_end
-        while state.t < target:
-            dt_stable = stable_dt(state, params, grid, opts)
-            if dt_stable < _DT_FLOOR:
-                raise SolverError(
-                    f"stability requires dt < {_DT_FLOOR} at t={state.t}; giving up"
-                )
-            remaining = target - state.t
-            landed = dt_stable >= remaining
-            dt = remaining if landed else dt_stable
-            try:
+    failure = None
+    try:
+        while state.t < t_end:
+            target = k * config.output_every
+            if target >= t_end or (t_end - target) < 1e-12 * t_end:
+                target = t_end
+            while state.t < target:
+                dt_stable = stable_dt(state, params, grid, opts)
+                if dt_stable < _DT_FLOOR:
+                    raise SolverError(
+                        f"stability requires dt < {_DT_FLOOR} at t={state.t}; "
+                        "giving up",
+                        state.t, value=dt_stable,
+                    )
+                remaining = target - state.t
+                landed = dt_stable >= remaining
+                dt = remaining if landed else dt_stable
                 state = step(state, dt, params, grid, opts)
-            except BlowUpDetected as exc:
-                return RunResult(
-                    outcome="blowup",
-                    final_state=state,
-                    records=tuple(records),
-                    context=ctx,
-                    steps=steps,
-                    blowup=BlowUpInfo(exc.time, exc.field, exc.cell, exc.value),
-                )
-            steps += 1
-            if landed and state.t != target:
-                state = replace(state, t=target)
-        records.append(record(state, ctx, records[-1]))
-        k += 1
-    return RunResult(
-        outcome="completed",
-        final_state=state,
-        records=tuple(records),
-        context=ctx,
-        steps=steps,
-    )
+                steps += 1
+                if landed and state.t != target:
+                    state = replace(state, t=target)
+            records.append(record(state, ctx, records[-1]))
+            k += 1
+    except SolverError as exc:
+        failure = exc.with_traceback(None)  # whose frames hold the last step's arrays
+    return RunResult(state, tuple(records), ctx, steps, failure)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +320,87 @@ def test_cmd_run_blowup_exits_three(tmp_path):
     assert not (out / "verification.json").exists()
 
 
+def test_cmd_run_positivity_loss_exits_three(tmp_path):
+    # central scheme, chi 5, a 0.6/0 checkerboard signal with the densities
+    # piled on its peaks: the troughs of u go negative in the first step
+    g = Grid(lengths=(1.0,), cells=(8,))
+    peaks = np.arange(8) % 2 == 0
+    fields = {"u": np.where(peaks, 1.0, 0.01), "w": np.where(peaks, 0.6, 0.0)}
+    fields["v"] = fields["u"]
+    for name, arr in fields.items():
+        write_field_raw(arr, tmp_path / f"{name}.raw")
+    cfg = {
+        "params": {"chi1": 5.0, "chi2": 5.0, "alpha": 1.0, "beta": 1.0},
+        "grid": {"lengths": [1.0], "cells": [8]},
+        "initial": {name: {"kind": "file", "path": f"{name}.raw"} for name in "uvw"},
+        "time": {"t_end": 1.0},
+        "scheme": {"advection": "central"},
+    }
+    out = tmp_path / "neg"
+    code = main(
+        ["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--quiet"]
+    )
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outcome"] == "positivity"
+    failure = manifest["positivity"]
+    assert (failure["field"], failure["cell"]) == ("u", [1])
+    assert failure["value"] < 0.0 and 0.0 < failure["time"] < 1.0
+    assert manifest["steps"] == 0
+    for name in ("diagnostics.csv", "final_u.raw", "final_v.raw", "final_w.raw"):
+        assert (out / name).exists()
+    assert not (out / "verification.json").exists()
+    assert set(manifest["files"]) | {"manifest.json"} == {p.name for p in out.iterdir()}
+    # the snapshot is the last good state: the initial data
+    assert np.array_equal(model.read_field_raw(out / "final_u.raw", g), fields["u"])
+    assert len(read_diagnostics_csv(out / "diagnostics.csv")) == 1
+
+
+def test_cmd_run_stalled_step_exits_three(tmp_path, capsys):
+    # absorption this extreme would need dt below the 1e-15 floor
+    cfg = minimal_config(
+        params={"chi1": 1.0, "chi2": 1.0, "alpha": 1e16, "beta": 1.0},
+        grid={"lengths": [1.0], "cells": [8]},
+        time={"t_end": 1.0},
+    )
+    out = tmp_path / "stall"
+    code = main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outcome"] == "stalled"
+    assert manifest["stalled"]["field"] is None and manifest["stalled"]["cell"] is None
+    assert 0.0 < manifest["stalled"]["value"] < 1e-15
+    assert not (out / "verification.json").exists()
+    assert "run ended early (stalled)" in capsys.readouterr().out
+
+
+def test_cmd_run_lyapunov_beyond_float_range_is_an_empty_cell(tmp_path):
+    # m = 1.5e-4 gives p ~ 2.1e4 from the threshold construction, and
+    # u**p overflows wherever u > 1
+    cfg = minimal_config(
+        grid={"lengths": [1.0], "cells": [16]},
+        initial={
+            "u": {"kind": "cosine_bump", "base": 1.0, "amplitude": 0.5, "modes": [1]},
+            "v": {"kind": "constant", "value": 1.0},
+            "w": {"kind": "cosine_bump", "base": 1e-4, "amplitude": 5e-5, "modes": [1]},
+        },
+        time={"t_end": 5.0},
+    )
+    out = tmp_path / "big_p"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(
+            ["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--quiet"]
+        )
+    assert code == 0
+    assert caught == []
+    text = (out / "diagnostics.csv").read_text()
+    assert "inf" not in text.replace("linf", "")
+    lyap = [rec.lyapunov for rec in read_diagnostics_csv(out / "diagnostics.csv")]
+    assert lyap[0] is None  # u**p overflows at t = 0
+    assert lyap[-1] is not None and math.isfinite(lyap[-1])
+
+
 def test_cmd_run_unwritable_out_exits_one(tmp_path, capsys):
     cfg_path = write_config(tmp_path, minimal_config())
     blocker = tmp_path / "blocker"
@@ -406,3 +488,22 @@ def test_cmd_convergence_table(tmp_path, capsys):
     assert "observed order" in out
     order = float(out.strip().splitlines()[-1].split("=")[1])
     assert order >= 1.8
+
+
+def test_cmd_convergence_level_ending_early_exits_one(tmp_path, capsys):
+    cfg = {
+        "params": {"chi1": 1.0, "chi2": 1.0, "alpha": 1.0, "beta": 1.0},
+        "grid": {"lengths": [1.0], "cells": [8]},
+        "initial": {
+            "u": {"kind": "cosine_bump", "base": 1.0, "amplitude": 0.9, "modes": [1]},
+            "v": {"kind": "constant", "value": 1.0},
+            "w": {"kind": "cosine_bump", "base": 1.0, "amplitude": 0.9, "modes": [1]},
+        },
+        "time": {"t_end": 0.5},
+        "scheme": {"advection": "upwind", "blowup_linf": 1.5},
+    }
+    code = main(["convergence", "--config", str(write_config(tmp_path, cfg))])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: refinement level (8,) ended early (blowup): ")
+    assert "Traceback" not in err

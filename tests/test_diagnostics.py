@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chemolab import solver
 from chemolab.diagnostics import (
     DecayFitError,
     DiagnosticsRecord,
@@ -328,6 +329,80 @@ def test_verify_run_thresholds_are_pinned():
     fit = fit_decay((r.t, r.linf_w) for r in records)
     assert fit.rate == decay.value
     assert fit.t_start == records[-round(0.5 * len(records))].t
+
+
+# Deliberately broken solvers: each wraps one split operator of the
+# stepper.  verify_run must notice every one of them, and no check may be
+# beyond the reach of all of them.
+_DIFFUSE, _ABSORB = solver._diffuse, solver._absorb
+
+
+def _leaky_diffuse(fields, decay, grid):
+    # loses a billionth of u and v per half step
+    _DIFFUSE(fields, decay, grid)
+    fields[:2] *= 1.0 - 1e-9
+
+
+def _frozen_density_diffuse(fields, decay, grid):
+    # u and v do not diffuse
+    densities = fields[:2].copy()
+    _DIFFUSE(fields, decay, grid)
+    fields[:2] = densities
+
+
+def _frozen_signal_diffuse(fields, decay, grid):
+    # w does not diffuse, so only absorption dissipates its gradient
+    signal = fields[2].copy()
+    _DIFFUSE(fields, decay, grid)
+    fields[2] = signal
+
+
+def _no_absorb(fields, tau, params):
+    pass
+
+
+def _signal_source_absorb(fields, tau, params):
+    # a source 2.1 w, just above the mean absorption rate alpha u + beta v = 2:
+    # once diffusion has flattened w, its maximum grows again
+    _ABSORB(fields, tau, params)
+    fields[2] *= np.exp(2.1 * tau)
+
+
+_MUTATIONS = {
+    "leaky_diffuse": (
+        "_diffuse", _leaky_diffuse, {"mass_conservation_u", "mass_conservation_v"}
+    ),
+    "frozen_density_diffuse": (
+        "_diffuse",
+        _frozen_density_diffuse,
+        {"dirichlet_convergence_u", "dirichlet_convergence_v", "end_state"},
+    ),
+    "frozen_signal_diffuse": (
+        "_diffuse", _frozen_signal_diffuse, {"signal_energy_budget"}
+    ),
+    "no_absorb": ("_absorb", _no_absorb, {"end_state", "decay_rate"}),
+    "signal_source_absorb": (
+        "_absorb", _signal_source_absorb, {"signal_envelope", "end_state", "decay_rate"}
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+def test_verify_run_fails_on_broken_solver(mutation, monkeypatch):
+    attr, broken, expected = _MUTATIONS[mutation]
+    monkeypatch.setattr(solver, attr, broken)
+    res = run(reference_scenario((64,), scheme="upwind"))
+    assert res.outcome == "completed"
+    report = verify_run(res.records, res.context)
+    assert {c.name for c in report if not c.passed} == expected
+
+
+def test_verify_run_every_check_has_a_breaking_mutation():
+    res = run(reference_scenario((64,), scheme="upwind"))
+    report = verify_run(res.records, res.context)
+    assert report.passed  # the unbroken solver passes every check
+    caught = set().union(*(expected for _, _, expected in _MUTATIONS.values()))
+    assert caught == {c.name for c in report}
 
 
 def test_verify_needs_two_records():

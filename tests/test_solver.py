@@ -364,8 +364,13 @@ def test_step_raises_on_positivity_loss():
     peaks = np.arange(8) % 2 == 0
     st = State(0.0, np.where(peaks, 1.0, 0.1), np.ones(8), np.where(peaks, 1.0, 0.0))
     params = ModelParams(5.0, 5.0, 1.0, 1.0)
-    with pytest.raises(PositivityError, match="reduce dt or switch to upwind"):
-        step(st, stable_dt(st, params, g, CENTRAL), params, g, CENTRAL)
+    dt = stable_dt(st, params, g, CENTRAL)
+    with pytest.raises(PositivityError, match="reduce dt or switch to upwind") as info:
+        step(st, dt, params, g, CENTRAL)
+    err = info.value
+    assert (err.outcome, err.time, err.field) == ("positivity", dt, "u")
+    assert err.value < 0.0 and len(err.cell) == 1 and not peaks[err.cell]
+    assert f"min {err.value} at cell {err.cell}" in str(err)
     nxt = step(st, stable_dt(st, params, g, UPWIND), params, g, UPWIND)
     assert nxt.u.min() >= 0.0
 
@@ -598,8 +603,15 @@ def test_run_refuses_underflowing_dt():
         t_end=1.0,
         dt_max=1.0,
     )
-    with pytest.raises(SolverError, match="dt"):
-        run(cfg)
+    res = run(cfg)
+    assert res.outcome == "stalled"
+    assert isinstance(res.failure, SolverError)
+    assert "dt" in str(res.failure)
+    assert res.failure.time == 0.0
+    assert res.failure.field is None and res.failure.cell is None
+    assert 0.0 < res.failure.value < 1e-15  # the step it needed
+    assert res.failure.__traceback__ is None
+    assert res.steps == 0 and len(res.records) == 1
 
 
 def test_run_reports_blowup_via_sentinel():
@@ -618,11 +630,12 @@ def test_run_reports_blowup_via_sentinel():
     )
     res = run(cfg)
     assert res.outcome == "blowup"
-    assert res.blowup is not None
-    assert res.blowup.field == "u"
-    assert res.blowup.value > 3.0
-    assert 0.0 < res.blowup.time < 2.0
-    assert len(res.blowup.cell) == 1
+    assert isinstance(res.failure, BlowUpDetected)
+    assert res.failure.field == "u"
+    assert res.failure.value > 3.0
+    assert 0.0 < res.failure.time < 2.0
+    assert len(res.failure.cell) == 1
+    assert res.final_state.t < res.failure.time  # the last good state
 
 
 def test_reference_run_takes_at_most_400_steps(reference_run):
