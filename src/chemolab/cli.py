@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -28,20 +29,16 @@ from .weight import epsilon_for_threshold, make_weight, p_for_equality
 __all__ = ["main", "write_diagnostics_csv"]
 
 
-def _fnum(x: float) -> str:
-    """Full-precision decimal form; round-trips to the same float."""
-    return repr(float(x))
-
-
 def write_diagnostics_csv(records, path) -> None:
-    """One header row, one row per sample, columns in record-field order."""
+    """One header row, one row per sample, columns in record-field order.
+
+    Values are Python floats in full-precision decimal form (``repr``
+    round-trips them exactly); None is an empty cell.
+    """
+    row = operator.attrgetter(*RECORD_FIELDS)
     lines = [",".join(RECORD_FIELDS)]
     for rec in records:
-        cells = []
-        for name in RECORD_FIELDS:
-            value = getattr(rec, name)
-            cells.append("" if value is None else _fnum(value))
-        lines.append(",".join(cells))
+        lines.append(",".join(["" if x is None else repr(x) for x in row(rec)]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

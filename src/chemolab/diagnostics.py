@@ -1,8 +1,9 @@
 """Scalar diagnostics: masses, norms, energies, the weighted L^p value,
 decay-rate fits and the end-of-run property checks.
 
-Everything here is a pure computation over immutable snapshots; records for
-different sample times could be computed concurrently.
+Everything here is a pure computation over immutable snapshots.  The
+records of consecutive samples are computed together, one array operation
+per quantity over all of them (:func:`record_block`).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "dirichlet_energy",
     "lyapunov",
     "record",
+    "record_block",
     "fit_decay",
     "verify_run",
 ]
@@ -57,7 +59,8 @@ class DiagnosticsRecord:
     linf_w: float
     dev_u: float  # ||u - ubar0||_inf
     dev_v: float
-    lyapunov: float | None  # (1/p) int u^p phi(chi1 w); None: no weight, or not finite
+    lyapunov: float | None  # (1/p) int u^p phi(chi1 w); None: no weight, not finite,
+    # or w outside the weight's domain
     dirichlet_u: float  # int |grad u|^2 at time t
     dirichlet_v: float
     dirichlet_w: float
@@ -89,16 +92,17 @@ class RunContext:
 
 
 def _integrals(fields: np.ndarray, grid: Grid) -> np.ndarray:
-    """Discrete integrals of the fields stacked along the first axis."""
-    return grid.volume_element * np.add.reduce(fields.reshape(len(fields), -1), axis=1)
+    """Discrete integrals of the fields stacked along the leading axes."""
+    lead = fields.shape[: fields.ndim - grid.dim]
+    return grid.volume_element * np.add.reduce(fields.reshape(lead + (-1,)), axis=-1)
 
 
 def _dirichlet_energies(fields: np.ndarray, grid: Grid) -> np.ndarray:
-    """Discrete int |grad f|^2 of the fields stacked along the first axis."""
-    dim = grid.dim
-    total = np.zeros(len(fields))
+    """Discrete int |grad f|^2 of the fields stacked along the leading axes."""
+    dim, lead = grid.dim, fields.ndim - grid.dim
+    total = np.zeros(fields.shape[:lead])
     for axis, h in enumerate(grid.spacing):
-        diff = fields[_hi(axis + 1, dim + 1)] - fields[_lo(axis + 1, dim + 1)]
+        diff = fields[_hi(axis + lead, dim + lead)] - fields[_lo(axis + lead, dim + lead)]
         diff /= h
         diff *= diff
         total += _integrals(diff, grid)
@@ -121,6 +125,20 @@ def dirichlet_energy(field: np.ndarray, grid: Grid) -> float:
     return float(_dirichlet_energies(np.asarray(field, float)[None], grid)[0])
 
 
+def _weighted_lp(
+    u: np.ndarray, w: np.ndarray, wf: WeightFunction, chi: float, grid: Grid
+) -> np.ndarray:
+    """(1/p) int u^p phi(chi * w) of each sample stacked along the first axis
+    of u and w, whose signals lie in the weight's domain; inf beyond float
+    range."""
+    phi = wf.phi(chi * w)
+    with np.errstate(over="ignore", invalid="ignore"):  # u**p beyond float range
+        integrand = u**wf.p
+        integrand *= phi
+        integral = np.add.reduce(integrand.reshape(len(u), -1), axis=1)
+    return ((1.0 / wf.p) * grid.volume_element) * integral
+
+
 def lyapunov(state: State, wf: WeightFunction, chi: float, grid: Grid) -> float:
     """Weighted L^p value (1/p) int u^p phi(chi * w); inf beyond float range."""
     w_scaled_max = chi * float(state.w.max())
@@ -129,10 +147,84 @@ def lyapunov(state: State, wf: WeightFunction, chi: float, grid: Grid) -> float:
             f"weight domain exceeded: chi*max(w) = {w_scaled_max} > m = {wf.m} "
             "(the amplitude bound used to build the weight was too small)"
         )
-    phi = wf.phi(chi * state.w)
-    with np.errstate(over="ignore", invalid="ignore"):  # u**p beyond float range
-        integral = float(np.add.reduce(state.u**wf.p * phi, axis=None))
-    return (1.0 / wf.p) * grid.volume_element * integral
+    return float(_weighted_lp(state.u[None], state.w[None], wf, chi, grid)[0])
+
+
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays stacked along a new first axis; a view for one array."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def record_block(
+    states: Sequence[State], ctx: RunContext, prev: DiagnosticsRecord | None
+) -> list[DiagnosticsRecord]:
+    """The records of consecutive samples; ``prev`` is the record before the
+    first of them, None at t = 0.
+
+    Each quantity is one array operation over every field of every sample,
+    and each sum runs along one field of one sample, as it would for that
+    sample alone: the records equal those of :func:`record`, sample by
+    sample, bit for bit.  A sample whose signal has left the weight's
+    domain (chi1 * max w > m, which only a faulty solver reaches) gets no
+    weighted L^p value, so a block never raises.
+    """
+    grid, n = ctx.grid, len(states)
+    lyaps = [None] * n
+    wf, chi = ctx.weight, ctx.params.chi1
+    if wf is not None:  # before stacking, which would add to its peak memory
+        u, w = _stacked([s.u for s in states]), _stacked([s.w for s in states])
+        inside = chi * np.maximum.reduce(w.reshape(n, -1), axis=1) <= wf.m
+        rows = np.flatnonzero(inside).tolist()
+        if len(rows) < n:
+            u, w = u[inside], w[inside]
+        values = _weighted_lp(u, w, wf, chi, grid).tolist() if rows else []
+        for i, value in zip(rows, values):
+            if math.isfinite(value):  # beyond float range: an empty cell
+                lyaps[i] = value
+        del u, w  # freed before the fields are stacked
+    fields = np.concatenate([f for s in states for f in (s.u, s.v, s.w)])
+    fields = fields.reshape((n, 3) + grid.shape)
+    flat = fields.reshape(n, 3, -1)
+    energies = _dirichlet_energies(fields, grid).tolist()
+    masses = _integrals(fields[:, :2], grid).tolist()
+    # max |f - c| is max(max f - c, c - min f): rounding is monotone, so this
+    # is the same float without a field-sized temporary
+    highs, lows = np.maximum.reduce(flat, axis=2), np.minimum.reduce(flat, axis=2)
+    linfs = np.maximum(highs, -lows).tolist()
+    means = np.array([ctx.ubar0, ctx.vbar0])
+    devs = np.maximum(highs[:, :2] - means, means - lows[:, :2]).tolist()
+    out = []
+    for state, lyap, (du, dv, dw), (mass_u, mass_v), (linf_u, linf_v, linf_w), (
+        dev_u, dev_v
+    ) in zip(states, lyaps, energies, masses, linfs, devs):
+        if prev is None:
+            cums = (0.0, 0.0, 0.0)
+        else:
+            half_dt = 0.5 * (state.t - prev.t)
+            cums = (
+                prev.cum_dirichlet_u + half_dt * (prev.dirichlet_u + du),
+                prev.cum_dirichlet_v + half_dt * (prev.dirichlet_v + dv),
+                prev.cum_dirichlet_w + half_dt * (prev.dirichlet_w + dw),
+            )
+        prev = DiagnosticsRecord(
+            t=float(state.t),
+            mass_u=mass_u,
+            mass_v=mass_v,
+            linf_u=linf_u,
+            linf_v=linf_v,
+            linf_w=linf_w,
+            dev_u=dev_u,
+            dev_v=dev_v,
+            lyapunov=lyap,
+            dirichlet_u=du,
+            dirichlet_v=dv,
+            dirichlet_w=dw,
+            cum_dirichlet_u=cums[0],
+            cum_dirichlet_v=cums[1],
+            cum_dirichlet_w=cums[2],
+        )
+        out.append(prev)
+    return out
 
 
 def record(
@@ -140,51 +232,9 @@ def record(
 ) -> DiagnosticsRecord:
     """Compute one fully-populated record; pass prev=None for the first.
 
-    The fields are stacked once so that each quantity is one array
-    operation over u, v and w together.
+    The one-sample case of :func:`record_block`.
     """
-    grid = ctx.grid
-    lyap = None
-    if ctx.weight is not None:  # before stacking, which would add to its peak memory
-        lyap = lyapunov(state, ctx.weight, ctx.params.chi1, grid)
-        if not math.isfinite(lyap):  # beyond float range: an empty cell
-            lyap = None
-    fields = np.concatenate((state.u, state.v, state.w)).reshape((3,) + grid.shape)
-    flat = fields.reshape(3, -1)
-    du, dv, dw = _dirichlet_energies(fields, grid).tolist()
-    if prev is None:
-        cums = (0.0, 0.0, 0.0)
-    else:
-        half_dt = 0.5 * (state.t - prev.t)
-        cums = (
-            prev.cum_dirichlet_u + half_dt * (prev.dirichlet_u + du),
-            prev.cum_dirichlet_v + half_dt * (prev.dirichlet_v + dv),
-            prev.cum_dirichlet_w + half_dt * (prev.dirichlet_w + dw),
-        )
-    mass_u, mass_v = _integrals(flat[:2], grid).tolist()
-    # max |f - c| is max(max f - c, c - min f): rounding is monotone, so this
-    # is the same float without a field-sized temporary
-    highs, lows = np.maximum.reduce(flat, axis=1), np.minimum.reduce(flat, axis=1)
-    linf_u, linf_v, linf_w = np.maximum(highs, -lows).tolist()
-    means = np.array([ctx.ubar0, ctx.vbar0])
-    dev_u, dev_v = np.maximum(highs[:2] - means, means - lows[:2]).tolist()
-    return DiagnosticsRecord(
-        t=float(state.t),
-        mass_u=mass_u,
-        mass_v=mass_v,
-        linf_u=linf_u,
-        linf_v=linf_v,
-        linf_w=linf_w,
-        dev_u=dev_u,
-        dev_v=dev_v,
-        lyapunov=lyap,
-        dirichlet_u=du,
-        dirichlet_v=dv,
-        dirichlet_w=dw,
-        cum_dirichlet_u=cums[0],
-        cum_dirichlet_v=cums[1],
-        cum_dirichlet_w=cums[2],
-    )
+    return record_block((state,), ctx, prev)[0]
 
 
 class DecayFitError(ValueError):

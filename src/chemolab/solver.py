@@ -24,19 +24,28 @@ D(dt/2), second order in dt:
 Only A limits the step: :func:`stable_dt` bounds it by each cell's total
 advective face rate plus its absorption rate, which keeps every upwind
 stage a convex combination; A splits itself when D and R steepened w past
-that bound.  rhs and step are pure functions producing fresh states;
-distinct runs share no mutable state.
+that bound.
+
+The operators work in place in a workspace (:class:`_Workspace`) that holds
+what every step on a grid would otherwise rebuild: the DCT scratch and
+plans, the chemotaxis stage and rate buffers, one set of face buffers and
+the decay factors.  Each thread has its own, and :func:`run` gives each run
+its own.  rhs and step still act as pure functions: their input is only
+read, and the arrays they return are fresh and never written again.
+Concurrent runs share no mutable buffers.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, RunContext, record
+# record is not called here; benchmarks/tracing.py wraps solver.record
+from .diagnostics import DiagnosticsRecord, RunContext, record, record_block
 from .model import (
     Grid,
     ModelParams,
@@ -71,6 +80,7 @@ __all__ = [
 ]
 
 _DT_FLOOR = 1e-15
+_BLOCK_BYTES = 1 << 18  # at most this much of stacked sample fields awaits record_block
 _NEGATIVITY_TOL = -1e-12
 _TINY = np.finfo(float).tiny
 
@@ -117,20 +127,27 @@ class BlowUpDetected(SolverError):
 
 
 def _face_density(
-    d_lo: np.ndarray, d_hi: np.ndarray, vel: np.ndarray, scheme: str
+    d_lo: np.ndarray,
+    d_hi: np.ndarray,
+    up: np.ndarray | None,
+    scheme: str,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Density carried by the faces between the ``d_lo`` and ``d_hi`` cells;
-    the one face-value rule of the stepper, :func:`rhs` and the
-    :func:`species_flux` reference.
+    """Density carried by the faces between the ``d_lo`` and ``d_hi`` cells,
+    written to ``out`` and returned; the one face-value rule of the stepper,
+    :func:`rhs` and the :func:`species_flux` reference.
 
     central: the arithmetic average of the two adjacent cells;
-    upwind:  the cell the velocity points away from (a face with zero
-             velocity carries no advective flux either way).
+    upwind:  the cell the velocity points away from, ``d_lo`` where ``up``
+             (velocity > 0) holds (a face with zero velocity carries no
+             advective flux either way).
     """
     if scheme == "upwind":
-        return np.where(vel > 0.0, d_lo, d_hi)
-    out = d_lo + d_hi
-    out *= 0.5
+        np.copyto(out, d_hi)
+        np.copyto(out, d_lo, where=up)
+    else:
+        np.add(d_lo, d_hi, out=out)
+        out *= 0.5
     return out
 
 
@@ -169,7 +186,8 @@ def species_flux(
     lo, hi = _lo(axis, grid.dim), _hi(axis, grid.dim)
     d_lo, d_hi = density[lo], density[hi]
     vel = chi * gw[hi][lo]  # interior faces
-    flux = _face_density(d_lo, d_hi, vel, scheme) * vel
+    flux = _face_density(d_lo, d_hi, vel > 0.0, scheme, np.empty_like(d_lo))
+    flux *= vel
     flux -= (d_hi - d_lo) / grid.spacing[axis]
     return _with_boundary_faces(flux, axis, grid)
 
@@ -190,10 +208,10 @@ def rhs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Semi-discrete right-hand side (du, dv, dw).
 
-    The flux-form Laplacian of u, v and w, plus :func:`_transport`'s
-    chemotaxis of u and v, plus the absorption sink -(alpha u + beta v) w
-    on w.  du and dv are divergence-form, so their sums over all cells
-    telescope to zero.
+    The flux-form Laplacian of u, v and w, plus the stepper's chemotaxis
+    kernel (:meth:`_Workspace.transport`) at unit time scale, plus the
+    absorption sink -(alpha u + beta v) w on w.  du and dv are
+    divergence-form, so their sums over all cells telescope to zero.
     """
     fields = np.concatenate((state.u, state.v, state.w)).reshape((3,) + grid.shape)
     out = np.zeros_like(fields)
@@ -204,16 +222,16 @@ def rhs(
         flux /= h * h
         out[lo] += flux
         out[hi] -= flux
-    chi = np.array([params.chi1, params.chi2]).reshape((2,) + (1,) * dim)
-    scales = [chi / (h * h) for h in grid.spacing]
-    _transport(fields[:2], fields[2], scales, grid, scheme.advection, out=out[:2])
+    ws = _workspace(grid)
+    for face in ws.faces:
+        face.scale[0], face.scale[1] = params.chi1 / face.h2, params.chi2 / face.h2
+    ws.held = None  # a new signal
+    ws.transport(fields[:2], fields[2], out[:2], scheme.advection)
     out[2] -= (params.alpha * state.u + params.beta * state.v) * state.w
     return out[0], out[1], out[2]
 
 
 # ------------------------------------------------------- split operators
-#
-# The stepper works in place on one (3, *grid.shape) array holding u, v, w.
 
 
 @lru_cache(maxsize=32)
@@ -251,160 +269,239 @@ def _axis_basis(m: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def _spectral_plan(grid: Grid) -> tuple[np.ndarray, tuple]:
-    """(eig, axes) for :func:`_diffuse` on ``grid``.
-
-    ``eig`` is the zero-flux Laplacian's eigenvalue of every mode, the sum
-    of the per-axis ones.  ``axes`` holds per axis the view that makes the
-    axis the second one, q, r, the slice of the mirror cells, whether the
-    axis is the last one (which is transformed by a right product, the
-    others by a left product broadcast over the axes before them) and the
-    forward and inverse matrices.
-    """
+def _eigenvalues(grid: Grid) -> np.ndarray:
+    """The zero-flux Laplacian's eigenvalue of every mode of ``grid``, the
+    sum of the per-axis ones, in the spectral layout of the DCT."""
     eig = np.zeros(grid.shape)
-    axes = []
     for axis, (m, h) in enumerate(zip(grid.cells, grid.spacing)):
-        even, odd, axis_eig = _axis_basis(m, h)
         shape = [1] * grid.dim
         shape[axis] = m
-        eig = eig + axis_eig.reshape(shape)
-        post = math.prod(grid.cells[axis + 1 :])
-        if post == 1:  # x @ mat.T, which BLAS reads fastest as a transposed view
-            view = (-1, m)
-            forward = (even.T, odd.T)
-            inverse = (even.T.copy().T, odd.T)
-        else:
-            view = (-1, m, post)
-            forward, inverse = (even, odd), (even.T, odd.T)
-        q, r = (m + 1) // 2, m // 2
-        mirror = slice(m - 1, q - 1, -1)  # cells m-1 .. m-r, partners of 0 .. r-1
-        axes.append((view, q, r, mirror, post == 1, forward, inverse))
+        eig = eig + _axis_basis(m, h)[2].reshape(shape)
     eig.flags.writeable = False
-    return eig, tuple(axes)
+    return eig
 
 
-def _dct(fields: np.ndarray, scratch: np.ndarray, plan: tuple, inverse: bool) -> None:
-    """DCT-II of the stacked ``fields`` along one axis of ``plan``, or its
-    inverse, in place; ``scratch`` has the shape of ``fields``."""
-    view, q, r, mirror, right, forward, backward = plan
-    x, y = fields.reshape(view), scratch.reshape(view)
-    lo, hi = x[:, :r], x[:, mirror]
-    src, dst = (x, y) if inverse else (y, x)
-    if not inverse:
-        np.add(lo, hi, out=y[:, :r])
-        np.subtract(lo, hi, out=y[:, q:])
-        if q > r:
-            y[:, r] = x[:, r]  # the middle cell pairs with itself
-    even, odd = backward if inverse else forward
-    if right:
-        np.matmul(src[:, :q], even, out=dst[:, :q])
-        np.matmul(src[:, q:], odd, out=dst[:, q:])
-    else:
-        np.matmul(even, src[:, :q], out=dst[:, :q])
-        np.matmul(odd, src[:, q:], out=dst[:, q:])
-    if inverse:
-        np.add(y[:, :r], y[:, q:], out=lo)
-        np.subtract(y[:, :r], y[:, q:], out=hi)
-        if q > r:
-            x[:, r] = y[:, r]
+class _Face:
+    """One axis's face geometry and its share of the workspace's face
+    buffers; ``dw``, ``up`` and ``flux`` alias those of every other axis."""
+
+    __slots__ = ("lo", "hi", "lo2", "hi2", "h2", "dw", "up", "flux", "scale",
+                 "rate_lo", "rate_hi")
 
 
-def _diffuse(fields: np.ndarray, decay: np.ndarray, grid: Grid) -> None:
-    """D: exact diffusion in place; ``decay`` is exp(tau * eig) for the
-    eigenvalues of :func:`_spectral_plan`.
+class _Workspace:
+    """Everything a step on one grid needs besides its state, built once.
 
-    Acts on each field's zero-mean part and adds the mean back, so a
-    constant field stays exactly constant.
+    * ``scratch``, three fields: the DCT's second buffer in D, the two
+      exponents of R, and A's Heun stage (``stage``, u and v) and face
+      rate (``rate``, w's row);
+    * ``decay``, exp(tau * eigenvalue) for the tau of :meth:`decay_for`'s
+      last call;
+    * per axis, the DCT plan with the views of ``scratch`` it uses, and a
+      :class:`_Face`: the face slices, the views of ``rate`` and the
+      face buffers;
+    * one set of face buffers, sized for the axis with the most faces and
+      shared by all axes: the signal difference ``dw``, the upwind mask
+      ``up`` (dw > 0) and the flux of both species, whose first row also
+      holds |dw| while :meth:`face_rate` sums it.  ``held`` names the axis
+      whose ``dw`` and ``up`` are current.
+
+    The methods work in place on a stacked (3, *grid.shape) array of u, v
+    and w.  :func:`step` makes that array fresh every step, because it is
+    the step's output.  A workspace is used by one thread at a time: see
+    :func:`_workspace`.
     """
-    flat = fields.reshape(len(fields), -1)
-    mean = np.add.reduce(flat, axis=1, keepdims=True)
-    mean /= flat.shape[1]
-    flat -= mean
-    scratch = np.empty_like(fields)
-    axes = _spectral_plan(grid)[1]
-    for plan in axes:
-        _dct(fields, scratch, plan, inverse=False)
-    fields *= decay
-    for plan in axes:
-        _dct(fields, scratch, plan, inverse=True)
-    flat += mean
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.stacked = (3,) + grid.shape
+        self.scratch = np.empty(self.stacked)
+        self.stage, self.rate = self.scratch[:2], self.scratch[2]
+        self.rows = tuple(self.scratch)
+        self.mean = np.empty((3, 1))
+        self.eig = _eigenvalues(grid)
+        self.decay, self.tau = np.empty(grid.shape), None
+        self.plans = []
+        for axis, (m, h) in enumerate(zip(grid.cells, grid.spacing)):
+            even, odd, _ = _axis_basis(m, h)
+            post = math.prod(grid.cells[axis + 1 :])
+            right = post == 1  # transformed by a right product, x @ mat.T
+            if right:  # which BLAS reads fastest as a transposed view
+                view, forward, inverse = (-1, m), (even.T, odd.T), (even.T.copy().T, odd.T)
+            else:  # a left product broadcast over the axes before it
+                view, forward, inverse = (-1, m, post), (even, odd), (even.T, odd.T)
+            q, r = (m + 1) // 2, m // 2
+            mirror = slice(m - 1, q - 1, -1)  # cells m-1 .. m-r, partners of 0 .. r-1
+            y = self.scratch.reshape(view)
+            middle = y[:, r] if q > r else None  # the middle cell pairs with itself
+            self.plans.append((view, q, r, mirror, right, forward, inverse,
+                               y[:, :q], y[:, q:], y[:, :r], middle))
+        dim = grid.dim
+        shapes = [tuple(m - (k == axis) for k, m in enumerate(grid.cells))
+                  for axis in range(dim)]
+        most = max(math.prod(shape) for shape in shapes)
+        dw, up, flux = np.empty(most), np.empty(most, bool), np.empty(2 * most)
+        self.faces = []
+        for axis, (shape, h) in enumerate(zip(shapes, grid.spacing)):
+            face, n = _Face(), math.prod(shape)
+            face.lo, face.hi = _lo(axis, dim), _hi(axis, dim)
+            face.lo2, face.hi2 = _lo(axis + 1, dim + 1), _hi(axis + 1, dim + 1)
+            face.h2 = h * h
+            face.dw, face.up = dw[:n].reshape(shape), up[:n].reshape(shape)
+            face.flux = flux[: 2 * n].reshape((2,) + shape)
+            face.scale = np.empty((2,) + (1,) * dim)  # per species
+            face.rate_lo, face.rate_hi = self.rate[face.lo], self.rate[face.hi]
+            self.faces.append(face)
+        self.held = None
+
+    def decay_for(self, tau: float) -> np.ndarray:
+        """exp(tau * eigenvalue), recomputed only when tau changed."""
+        if tau != self.tau:
+            np.multiply(self.eig, tau, out=self.decay)
+            np.exp(self.decay, out=self.decay)
+            self.tau = tau
+        return self.decay
+
+    def _dct(self, fields: np.ndarray, inverse: bool) -> None:
+        """DCT-II of the stacked ``fields`` along each axis in turn, or its
+        inverse, in place."""
+        for view, q, r, mirror, right, forward, backward, y_even, y_odd, y_lo, y_mid in (
+            self.plans
+        ):
+            x = fields.reshape(view)
+            lo, hi, x_even, x_odd = x[:, :r], x[:, mirror], x[:, :q], x[:, q:]
+            if inverse:
+                even, odd = backward
+                if right:
+                    np.matmul(x_even, even, out=y_even)
+                    np.matmul(x_odd, odd, out=y_odd)
+                else:
+                    np.matmul(even, x_even, out=y_even)
+                    np.matmul(odd, x_odd, out=y_odd)
+                np.add(y_lo, y_odd, out=lo)
+                np.subtract(y_lo, y_odd, out=hi)
+                if y_mid is not None:
+                    x[:, r] = y_mid
+            else:
+                np.add(lo, hi, out=y_lo)
+                np.subtract(lo, hi, out=y_odd)
+                if y_mid is not None:
+                    y_mid[...] = x[:, r]
+                even, odd = forward
+                if right:
+                    np.matmul(y_even, even, out=x_even)
+                    np.matmul(y_odd, odd, out=x_odd)
+                else:
+                    np.matmul(even, y_even, out=x_even)
+                    np.matmul(odd, y_odd, out=x_odd)
+
+    def diffuse(self, fields: np.ndarray, decay: np.ndarray) -> None:
+        """D: exact diffusion in place; ``decay`` is exp(tau * eigenvalue)
+        (:meth:`decay_for`).
+
+        Acts on each field's zero-mean part and adds the mean back, so a
+        constant field stays exactly constant.
+        """
+        flat, mean = fields.reshape(3, -1), self.mean
+        np.add.reduce(flat, axis=1, keepdims=True, out=mean)
+        mean /= flat.shape[1]
+        flat -= mean
+        self._dct(fields, inverse=False)
+        fields *= decay
+        self._dct(fields, inverse=True)
+        flat += mean
+
+    def absorb(self, fields: np.ndarray, tau: float, params: ModelParams) -> None:
+        """R: exact absorption in place, w <- w * exp(-tau (alpha u + beta v))."""
+        exponent, other = self.rows[0], self.rows[1]
+        np.multiply(fields[0], -tau * params.alpha, out=exponent)
+        np.multiply(fields[1], -tau * params.beta, out=other)
+        exponent += other
+        np.exp(exponent, out=exponent)
+        fields[2] *= exponent
+
+    def _signal(self, axis: int, w: np.ndarray, upwind: bool) -> np.ndarray:
+        """Put w's differences across the faces of ``axis`` (and, for
+        upwind, their signs) into the face buffers."""
+        face = self.faces[axis]
+        np.subtract(w[face.hi], w[face.lo], out=face.dw)
+        if upwind:
+            np.greater(face.dw, 0.0, out=face.up)
+        self.held = axis
+        return face.dw
+
+    def face_rate(self, w: np.ndarray, chi: float, upwind: bool) -> np.ndarray:
+        """Add each cell's advective face rate, chi |grad w| / h summed over
+        the cell's faces, to ``rate`` and return it: the one bound behind
+        :func:`stable_dt` and the chemotaxis substeps."""
+        for axis, face in enumerate(self.faces):
+            rate = face.flux[0]
+            np.abs(self._signal(axis, w, upwind), out=rate)
+            rate *= chi / face.h2
+            face.rate_lo += rate
+            face.rate_hi += rate
+        return self.rate
+
+    def transport(
+        self, dens: np.ndarray, w: np.ndarray, out: np.ndarray, scheme: str
+    ) -> None:
+        """Add dt times the chemotaxis term -div(chi d grad w) of the stacked
+        densities ``dens`` (species first) to ``out``; each face's ``scale``
+        holds the sensitivity of each species times dt / h^2 (dt = 1 in
+        :func:`rhs`).  Reuses the face buffers of axis ``held``, so a caller
+        with a new ``w`` resets ``held`` or calls :meth:`face_rate` first."""
+        for axis, face in enumerate(self.faces):
+            if self.held != axis:
+                self._signal(axis, w, scheme == "upwind")
+            lo, hi = face.lo2, face.hi2
+            flux = _face_density(dens[lo], dens[hi], face.up, scheme, face.flux)
+            flux *= face.dw
+            flux *= face.scale
+            out_lo, out_hi = out[lo], out[hi]
+            out_lo -= flux
+            out_hi += flux
+
+    def advect(
+        self, fields: np.ndarray, dt: float, params: ModelParams, scheme: str
+    ) -> None:
+        """A: chemotaxis of u and v with w frozen, by Heun's SSP-RK2, in place.
+
+        Each Heun step is two forward-Euler stages and ends on their average.
+        For upwind, a stage is a convex combination of cell values while its
+        length times :meth:`face_rate` stays at most 1 in every cell.
+        :func:`stable_dt` sees w before D and R, which can steepen it, so A
+        takes the fewest equal Heun steps that keep that bound: one, unless
+        the signal steepened.
+        """
+        dens, w, stage = fields[:2], fields[2], self.stage
+        self.rate.fill(0.0)
+        rate = self.face_rate(w, max(params.chi1, params.chi2), scheme == "upwind")
+        needed = dt * float(np.maximum.reduce(rate, axis=None))
+        substeps = math.ceil(needed) if 1.0 < needed < math.inf else 1  # NaN -> 1
+        for face in self.faces:
+            tau = dt / substeps / face.h2
+            face.scale[0], face.scale[1] = params.chi1 * tau, params.chi2 * tau
+        for _ in range(substeps):
+            np.copyto(stage, dens)
+            self.transport(dens, w, stage, scheme)
+            dens += stage
+            self.transport(stage, w, dens, scheme)
+            dens *= 0.5
 
 
-def _absorb(fields: np.ndarray, tau: float, params: ModelParams) -> None:
-    """R: exact absorption in place, w <- w * exp(-tau (alpha u + beta v))."""
-    decay = (-tau * params.alpha) * fields[0]
-    decay += (-tau * params.beta) * fields[1]
-    np.exp(decay, out=decay)
-    fields[2] *= decay
+_local = threading.local()  # .workspace: the calling thread's _Workspace
 
 
-def _transport(
-    dens: np.ndarray,
-    w: np.ndarray,
-    scales: list[np.ndarray],
-    grid: Grid,
-    scheme: str,
-    out: np.ndarray,
-) -> None:
-    """Add dt times the chemotaxis term -div(chi d grad w) of the stacked
-    densities ``dens`` (species first) to ``out``; ``scales`` holds per
-    axis the sensitivity of each species times dt / h^2 (dt = 1 in
-    :func:`rhs`)."""
-    dim = grid.dim
-    for axis, scale in enumerate(scales):
-        lo, hi = _lo(axis + 1, dim + 1), _hi(axis + 1, dim + 1)
-        dw = w[_hi(axis, dim)] - w[_lo(axis, dim)]
-        flux = _face_density(dens[lo], dens[hi], dw, scheme)
-        flux *= dw
-        flux *= scale
-        out[lo] -= flux
-        out[hi] += flux
-        del dw, flux  # freed before the next axis allocates its own
+def _workspace(grid: Grid) -> _Workspace:
+    """The calling thread's workspace, rebuilt when the grid changes.
 
-
-def _face_rate(w: np.ndarray, chi: float, grid: Grid, out: np.ndarray) -> np.ndarray:
-    """Add each cell's advective face rate, chi |grad w| / h summed over the
-    cell's faces, to ``out`` and return it: the one bound behind
-    :func:`stable_dt` and the chemotaxis substeps."""
-    for axis, h in enumerate(grid.spacing):
-        lo, hi = _lo(axis, grid.dim), _hi(axis, grid.dim)
-        rate = np.abs(w[hi] - w[lo])
-        rate *= chi / (h * h)
-        out[lo] += rate
-        out[hi] += rate
-        del rate  # freed before the next axis allocates its own
-    return out
-
-
-def _advect(
-    fields: np.ndarray,
-    dt: float,
-    params: ModelParams,
-    grid: Grid,
-    scheme: SchemeOptions,
-) -> None:
-    """A: chemotaxis of u and v with w frozen, by Heun's SSP-RK2, in place.
-
-    Each Heun step is two forward-Euler stages and ends on their average.
-    For upwind, a stage is a convex combination of cell values while its
-    length times :func:`_face_rate` stays at most 1 in every cell.
-    :func:`stable_dt` sees w before D and R, which can steepen it, so A
-    takes the fewest equal Heun steps that keep that bound: one, unless the
-    signal steepened.
+    :func:`run` installs one of its own for the length of the run, so a run
+    leaves no buffers behind and threads never share one.
     """
-    dens, w = fields[:2], fields[2]
-    chi_max = max(params.chi1, params.chi2)
-    rate = _face_rate(w, chi_max, grid, np.zeros(grid.shape))
-    needed = dt * float(np.maximum.reduce(rate, axis=None))
-    substeps = math.ceil(needed) if 1.0 < needed < math.inf else 1  # NaN -> 1
-    chi = np.array([params.chi1, params.chi2]).reshape((2,) + (1,) * grid.dim)
-    scales = [chi * (dt / substeps / (h * h)) for h in grid.spacing]
-    for _ in range(substeps):
-        stage = dens.copy()
-        _transport(dens, w, scales, grid, scheme.advection, out=stage)
-        dens += stage
-        _transport(stage, w, scales, grid, scheme.advection, out=dens)
-        dens *= 0.5
+    ws = getattr(_local, "workspace", None)
+    if ws is None or (ws.grid is not grid and ws.grid != grid):
+        ws = _local.workspace = _Workspace(grid)
+    return ws
 
 
 def stable_dt(
@@ -421,8 +518,10 @@ def stable_dt(
     every grid; the absorption rate stays in the bound because the
     splitting error grows with it.
     """
-    rate = params.alpha * state.u + params.beta * state.v
-    _face_rate(state.w, max(params.chi1, params.chi2), grid, out=rate)
+    ws = _workspace(grid)
+    rate = np.multiply(state.u, params.alpha, out=ws.rate)
+    rate += np.multiply(state.v, params.beta, out=ws.rows[0])
+    ws.face_rate(state.w, max(params.chi1, params.chi2), upwind=False)
     worst = max(float(np.maximum.reduce(rate, axis=None)), _TINY)
     return min(scheme.cfl_safety / worst, scheme.dt_max)
 
@@ -442,37 +541,42 @@ def step(
     :class:`BlowUpDetected` on NaN or when a density norm crosses the
     divergence sentinel.  Rounding-level negative signal values are
     clipped to zero, which the signal's maximum principle justifies.
+
+    Works in the calling thread's :class:`_Workspace`; ``state`` is only
+    read, and the returned arrays are fresh and never written again.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    fields = np.concatenate((state.u, state.v, state.w)).reshape((3,) + grid.shape)
-    decay = np.multiply(_spectral_plan(grid)[0], 0.5 * dt)
-    np.exp(decay, out=decay)
-    _diffuse(fields, decay, grid)
-    _absorb(fields, 0.5 * dt, params)
-    _advect(fields, dt, params, grid, scheme)
-    _absorb(fields, 0.5 * dt, params)
-    _diffuse(fields, decay, grid)
+    ws = _workspace(grid)
+    fields = np.concatenate((state.u, state.v, state.w)).reshape(ws.stacked)
+    decay = ws.decay_for(0.5 * dt)
+    ws.diffuse(fields, decay)
+    ws.absorb(fields, 0.5 * dt, params)
+    ws.advect(fields, dt, params, scheme.advection)
+    ws.absorb(fields, 0.5 * dt, params)
+    ws.diffuse(fields, decay)
     t_new = state.t + dt
     flat = fields.reshape(3, -1)
-    lows = np.minimum.reduce(flat, axis=1)
-    for name, arr, mn in zip("uvw", fields, lows.tolist()):
-        if math.isnan(mn):
-            raise BlowUpDetected(t_new, name, _first_bad_cell(np.isnan(arr)), mn)
-        if mn < _NEGATIVITY_TOL:
-            cell = _first_bad_cell(arr == mn)
-            raise PositivityError(
-                f"positivity violation in {name} at t={t_new}: min {mn} at cell "
-                f"{cell} (reduce dt or switch to upwind)",
-                t_new, name, cell, mn,
-            )
+    lows = np.minimum.reduce(flat, axis=1).tolist()
+    if not all(mn >= _NEGATIVITY_TOL for mn in lows):  # NaN fails it too
+        for name, arr, mn in zip("uvw", fields, lows):
+            if math.isnan(mn):
+                raise BlowUpDetected(t_new, name, _first_bad_cell(np.isnan(arr)), mn)
+            if mn < _NEGATIVITY_TOL:
+                cell = _first_bad_cell(arr == mn)
+                raise PositivityError(
+                    f"positivity violation in {name} at t={t_new}: min {mn} at cell "
+                    f"{cell} (reduce dt or switch to upwind)",
+                    t_new, name, cell, mn,
+                )
+    u, v, w = fields
     if lows[2] < 0.0:
-        np.maximum(fields[2], 0.0, out=fields[2])
+        np.maximum(w, 0.0, out=w)
     highs = np.maximum.reduce(flat[:2], axis=1).tolist()
     for name, arr, mx in zip("uv", fields, highs):
         if mx > scheme.blowup_linf:
             raise BlowUpDetected(t_new, name, _first_bad_cell(arr == mx), mx)
-    return State(t=t_new, u=fields[0], v=fields[1], w=fields[2])
+    return State(t=t_new, u=u, v=v, w=w)
 
 
 @dataclass(frozen=True)
@@ -522,6 +626,11 @@ def run(config: ScenarioConfig) -> RunResult:
     :class:`SolverError` of the step loop ends the run early instead of
     raising: it becomes the result's ``failure``, next to the last good
     state and the records sampled so far.
+
+    The samples' records are computed a block at a time by
+    :func:`~chemolab.diagnostics.record_block`, which takes as many
+    consecutive samples as fit ``_BLOCK_BYTES`` stacked (at least one).  The
+    steps work in a :class:`_Workspace` of the run's own.
     """
     grid, params = config.grid, config.params
     init = validate_initial_data(*config.initial.build(grid), grid)
@@ -539,13 +648,24 @@ def run(config: ScenarioConfig) -> RunResult:
         weight_note=weight_note,
     )
     state = State(t=0.0, u=init.u, v=init.v, w=init.w)
-    records = [record(state, ctx, None)]
+    del init  # the first state holds the initial fields; nothing else needs them
+    block = max(1, _BLOCK_BYTES // (24 * math.prod(grid.cells)))
+    pending = [state]  # samples whose records are not computed yet
+    records: list[DiagnosticsRecord] = []
+
+    def flush() -> None:
+        records.extend(record_block(pending, ctx, records[-1] if records else None))
+        pending.clear()
+
     t_end = config.t_end
     k = 1
     steps = 0
     failure = None
+    outer, _local.workspace = getattr(_local, "workspace", None), _Workspace(grid)
     try:
         while state.t < t_end:
+            if len(pending) == block:
+                flush()
             target = k * config.output_every
             if target >= t_end or (t_end - target) < 1e-12 * t_end:
                 target = t_end
@@ -564,8 +684,12 @@ def run(config: ScenarioConfig) -> RunResult:
                 steps += 1
                 if landed and state.t != target:
                     state = replace(state, t=target)
-            records.append(record(state, ctx, records[-1]))
+            pending.append(state)
             k += 1
     except SolverError as exc:
         failure = exc.with_traceback(None)  # whose frames hold the last step's arrays
+    finally:
+        _local.workspace = outer
+    if pending:
+        flush()
     return RunResult(state, tuple(records), ctx, steps, failure)

@@ -118,7 +118,9 @@ class WeightFunction:
         s = np.asarray(s, dtype=float)
         if s.size and (s.min() < 0.0 or s.max() > self.m):
             raise ValueError(f"s must lie in [0, {self.m}]")
-        return self.kappa * s + self.theta0
+        ang = self.kappa * s
+        ang += self.theta0
+        return ang
 
     def z(self, s):
         """Exponent z(s); z(0) = 0 and z is nondecreasing.
@@ -126,12 +128,15 @@ class WeightFunction:
         The tangent integral is evaluated through its log-cosine
         antiderivative, which is exact up to rounding.
         """
-        ang = self._angle(s)
+        ang = np.asarray(self._angle(s))  # fresh, so worked on in place
         s = np.asarray(s, dtype=float)
         lin = -(self.b / (2.0 * self.c)) * s
-        log_cos = np.log(np.cos(ang)) - math.log(math.cos(self.theta0))
-        out = lin - (self.d / self.c) * log_cos
-        return out if out.ndim else float(out)
+        np.cos(ang, out=ang)
+        np.log(ang, out=ang)
+        ang -= math.log(math.cos(self.theta0))
+        ang *= self.d / self.c
+        lin -= ang
+        return lin if lin.ndim else float(lin)
 
     def z_prime(self, s):
         ang = self._angle(s)

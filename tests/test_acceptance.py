@@ -216,9 +216,11 @@ def test_criterion_8_order_check_fails_on_a_zeroth_order_flux(monkeypatch):
 
     exact = solver._face_density
 
-    def zeroth_order(d_lo, d_hi, vel, scheme):
-        error = 1.0 + 0.1 * math.log2(vel.shape[-1] + 1)  # 1-D: faces + 1 = cells
-        return exact(d_lo, d_hi, vel, scheme) * error
+    def zeroth_order(d_lo, d_hi, up, scheme, out):
+        error = 1.0 + 0.1 * math.log2(out.shape[-1] + 1)  # 1-D: faces + 1 = cells
+        exact(d_lo, d_hi, up, scheme, out)
+        out *= error
+        return out
 
     monkeypatch.setattr(solver, "_face_density", zeroth_order)
     upwind = refinement_study(

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chemolab import model
+from chemolab import model, solver
 from chemolab.cli import main, read_diagnostics_csv, write_diagnostics_csv
 from chemolab.config import ConfigError, config_digest, parse_config
 from chemolab.model import FileInit, Grid, write_field_raw
@@ -399,6 +399,38 @@ def test_cmd_run_lyapunov_beyond_float_range_is_an_empty_cell(tmp_path):
     lyap = [rec.lyapunov for rec in read_diagnostics_csv(out / "diagnostics.csv")]
     assert lyap[0] is None  # u**p overflows at t = 0
     assert lyap[-1] is not None and math.isfinite(lyap[-1])
+
+
+def test_cmd_run_signal_outside_the_weight_domain_exits_two(tmp_path, monkeypatch):
+    # a deliberately broken absorption step, a source 2.5 w after absorbing,
+    # drives chi1 max w past the weight's m: the run completes, its
+    # lyapunov cells go empty, and the signal envelope check fails
+    absorb = solver._Workspace.absorb
+
+    def growing_signal(ws, fields, tau, params):
+        absorb(ws, fields, tau, params)
+        fields[2] *= np.exp(2.5 * tau)
+
+    monkeypatch.setattr(solver._Workspace, "absorb", growing_signal)
+    cfg = minimal_config(
+        grid={"lengths": [1.0], "cells": [64]},
+        initial={
+            "u": {"kind": "cosine_bump", "base": 1.0, "amplitude": 0.5, "modes": [1]},
+            "v": {"kind": "cosine_bump", "base": 1.0, "amplitude": 0.25, "modes": [1]},
+            "w": {"kind": "cosine_bump", "base": 0.25, "amplitude": 0.25, "modes": [1]},
+        },
+        time={"t_end": 5.0},
+        scheme={"advection": "upwind"},
+    )
+    out = tmp_path / "outside"
+    code = main(
+        ["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--quiet"]
+    )
+    assert code == 2
+    lyap = [rec.lyapunov for rec in read_diagnostics_csv(out / "diagnostics.csv")]
+    assert len(lyap) == 201 and lyap[0] is not None and lyap[-1] is None
+    checks = json.loads((out / "verification.json").read_text())["checks"]
+    assert not next(c for c in checks if c["name"] == "signal_envelope")["passed"]
 
 
 def test_cmd_run_unwritable_out_exits_one(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,20 @@ from chemolab.diagnostics import (
     lyapunov,
     mass,
     record,
+    record_block,
     verify_run,
 )
-from chemolab.model import Grid, ModelParams, State, _hi, _lo
+from chemolab.model import (
+    ConstantInit,
+    CosineBumpInit,
+    Grid,
+    InitialSpec,
+    ModelParams,
+    ScenarioConfig,
+    State,
+    _hi,
+    _lo,
+)
 from chemolab.solver import run, stable_dt, step
 from chemolab.weight import make_weight
 from tests.conftest import reference_scenario
@@ -228,6 +241,89 @@ def test_record_is_bit_identical_to_one_field_at_a_time(cells):
         state = step(state, dt, params, grid, config.options)
 
 
+# ------------------------------------------------------------ record_block
+
+
+def _samples(cells, n):
+    """The reference scenario's first n states, a stable upwind step apart,
+    and a context for them."""
+    config = reference_scenario(cells=cells, scheme="upwind")
+    grid, params, opts = config.grid, config.params, config.options
+    state = State(0.0, *config.initial.build(grid))
+    states = [state]
+    for _ in range(n - 1):
+        state = step(state, stable_dt(state, params, grid, opts), params, grid, opts)
+        states.append(state)
+    return states, grid, params
+
+
+@pytest.mark.parametrize("weighted", [True, False], ids=["weight", "no_weight"])
+@pytest.mark.parametrize(
+    "cells", [(255,), (256,), (33, 32), (12, 9), (7, 6, 5), (8, 8, 8)]
+)
+def test_record_block_is_record_sample_by_sample_bit_for_bit(cells, weighted):
+    states, grid, params = _samples(cells, 10)
+    u, v, w = states[0].u, states[0].v, states[0].w
+    ctx = RunContext(
+        grid=grid, params=params, ubar0=float(u.mean()), vbar0=float(v.mean()),
+        w0_max=float(w.max()), int_w0_sq=mass(w * w, grid),
+        weight=make_weight(2.0, 0.3, float(w.max())) if weighted else None,
+    )
+    one_by_one, prev = [], None
+    for state in states:
+        prev = record(state, ctx, prev)
+        one_by_one.append(prev)
+    assert all((r.lyapunov is not None) == weighted for r in one_by_one)
+    # repr tells every float apart, -0.0 from 0.0 included
+    assert repr(record_block(states, ctx, None)) == repr(one_by_one)
+    blocks, prev, start = [], None, 0
+    for size in (1, 3, 4, 2):  # block boundaries in the middle of the run
+        blocks += record_block(states[start : start + size], ctx, prev)
+        prev, start = blocks[-1], start + size
+    assert repr(blocks) == repr(one_by_one)
+
+
+@pytest.mark.parametrize("cells", [(64,), (12, 9), (6, 5, 4)])
+def test_run_records_do_not_depend_on_the_block_length(cells, monkeypatch):
+    config = reference_scenario(cells=cells, t_end=0.05, scheme="upwind")
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", 1)  # one sample per block
+    by_one = run(config)
+    # seven samples per block: the 201 samples end on a partial block
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", 7 * 24 * math.prod(cells))
+    by_seven = run(config)
+    assert len(by_one.records) == 201
+    assert repr(by_seven.records) == repr(by_one.records)
+
+
+def test_run_ending_early_mid_block_keeps_every_good_sample(monkeypatch):
+    # chi1 = 30 concentrates u past the sentinel 3 near t = 0.009, after
+    # some 18 samples
+    config = ScenarioConfig(
+        params=ModelParams(chi1=30.0, chi2=1.0, alpha=1.0, beta=1.0),
+        grid=Grid(lengths=(1.0,), cells=(32,)),
+        initial=InitialSpec(
+            u=ConstantInit(1.0),
+            v=ConstantInit(1.0),
+            w=CosineBumpInit(base=0.5, amplitude=0.5, modes=(1,)),
+        ),
+        t_end=2.0,
+        output_every=5e-4,
+        scheme="upwind",
+        blowup_linf=3.0,
+    )
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", 1)  # a record per sample
+    by_one = run(config)
+    assert by_one.outcome == "blowup"
+    n = len(by_one.records)
+    assert n > 10
+    block = next(k for k in range(3, n) if n % k)  # the failure splits a block
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", block * 24 * 32)
+    blocked = run(config)
+    assert blocked.outcome == "blowup"
+    assert repr(blocked.records) == repr(by_one.records)
+    assert blocked.records[-1].t <= blocked.final_state.t < blocked.failure.time
+
+
 # --------------------------------------------------------------- fit_decay
 
 
@@ -332,65 +428,85 @@ def test_verify_run_thresholds_are_pinned():
 
 
 # Deliberately broken solvers: each wraps one split operator of the
-# stepper.  verify_run must notice every one of them, and no check may be
-# beyond the reach of all of them.
-_DIFFUSE, _ABSORB = solver._diffuse, solver._absorb
+# stepper, a method of its workspace.  verify_run must notice every one of
+# them, and no check may be beyond the reach of all of them.
+_DIFFUSE, _ABSORB = solver._Workspace.diffuse, solver._Workspace.absorb
 
 
-def _leaky_diffuse(fields, decay, grid):
+def _leaky_diffuse(ws, fields, decay):
     # loses a billionth of u and v per half step
-    _DIFFUSE(fields, decay, grid)
+    _DIFFUSE(ws, fields, decay)
     fields[:2] *= 1.0 - 1e-9
 
 
-def _frozen_density_diffuse(fields, decay, grid):
+def _frozen_density_diffuse(ws, fields, decay):
     # u and v do not diffuse
     densities = fields[:2].copy()
-    _DIFFUSE(fields, decay, grid)
+    _DIFFUSE(ws, fields, decay)
     fields[:2] = densities
 
 
-def _frozen_signal_diffuse(fields, decay, grid):
+def _frozen_signal_diffuse(ws, fields, decay):
     # w does not diffuse, so only absorption dissipates its gradient
     signal = fields[2].copy()
-    _DIFFUSE(fields, decay, grid)
+    _DIFFUSE(ws, fields, decay)
     fields[2] = signal
 
 
-def _no_absorb(fields, tau, params):
+def _no_absorb(ws, fields, tau, params):
     pass
 
 
-def _signal_source_absorb(fields, tau, params):
+def _signal_source_absorb(ws, fields, tau, params):
     # a source 2.1 w, just above the mean absorption rate alpha u + beta v = 2:
     # once diffusion has flattened w, its maximum grows again
-    _ABSORB(fields, tau, params)
+    _ABSORB(ws, fields, tau, params)
     fields[2] *= np.exp(2.1 * tau)
 
 
 _MUTATIONS = {
     "leaky_diffuse": (
-        "_diffuse", _leaky_diffuse, {"mass_conservation_u", "mass_conservation_v"}
+        "diffuse", _leaky_diffuse, {"mass_conservation_u", "mass_conservation_v"}
     ),
     "frozen_density_diffuse": (
-        "_diffuse",
+        "diffuse",
         _frozen_density_diffuse,
         {"dirichlet_convergence_u", "dirichlet_convergence_v", "end_state"},
     ),
     "frozen_signal_diffuse": (
-        "_diffuse", _frozen_signal_diffuse, {"signal_energy_budget"}
+        "diffuse", _frozen_signal_diffuse, {"signal_energy_budget"}
     ),
-    "no_absorb": ("_absorb", _no_absorb, {"end_state", "decay_rate"}),
+    "no_absorb": ("absorb", _no_absorb, {"end_state", "decay_rate"}),
     "signal_source_absorb": (
-        "_absorb", _signal_source_absorb, {"signal_envelope", "end_state", "decay_rate"}
+        "absorb", _signal_source_absorb, {"signal_envelope", "end_state", "decay_rate"}
     ),
 }
+
+
+def _growing_signal_absorb(ws, fields, tau, params):
+    # a source 2.5 w after absorbing: max w soon leaves the weight's domain
+    _ABSORB(ws, fields, tau, params)
+    fields[2] *= np.exp(2.5 * tau)
+
+
+def test_signal_outside_the_weight_domain_is_an_empty_lyapunov_cell(monkeypatch):
+    monkeypatch.setattr(solver._Workspace, "absorb", _growing_signal_absorb)
+    res = run(reference_scenario((64,), scheme="upwind"))
+    assert res.outcome == "completed"
+    ctx = res.context
+    outside = [ctx.params.chi1 * r.linf_w > ctx.weight.m for r in res.records]
+    first = outside.index(True)
+    assert 0 < first and all(outside[first:])
+    empty = [r.lyapunov is None for r in res.records]
+    assert empty == [i >= first for i in range(len(empty))]
+    failed = {c.name for c in verify_run(res.records, ctx) if not c.passed}
+    assert "signal_envelope" in failed
 
 
 @pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
 def test_verify_run_fails_on_broken_solver(mutation, monkeypatch):
     attr, broken, expected = _MUTATIONS[mutation]
-    monkeypatch.setattr(solver, attr, broken)
+    monkeypatch.setattr(solver._Workspace, attr, broken)
     res = run(reference_scenario((64,), scheme="upwind"))
     assert res.outcome == "completed"
     report = verify_run(res.records, res.context)
