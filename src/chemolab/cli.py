@@ -199,6 +199,8 @@ def cmd_analyze_weight(args) -> int:
 
 
 def cmd_convergence(args) -> int:
+    if args.levels < 3:
+        raise ValueError(f"--levels must be at least 3 for an order, got {args.levels}")
     config = parse_config(args.config)
     study = refinement_study(config, levels=args.levels)
     header = f"{'cells':>14}"

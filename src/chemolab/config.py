@@ -127,8 +127,8 @@ def _typed_list(kind, what: str, cast):
 
 # Keys that are not plain numbers, by key name; Grid checks the list entries.
 _READERS = {
-    "lengths": _typed(list, "a list"),
-    "cells": _typed(list, "a list"),
+    "lengths": _typed_list((int, float), "numbers", float),
+    "cells": _typed_list((int, float), "numbers", lambda m: m),
     "advection": _typed(str, "a string"),
     "path": _typed(str, "a string"),
     "modes": _typed_list(int, "integers", int),

@@ -41,6 +41,7 @@ _TAIL_FRACTION = 0.25  # trailing share of the run for the Dirichlet increments
 _TAIL_INCREMENT_TOL = 0.01  # their allowed share of the whole integral
 _END_STATE_TOL = 1e-3  # distance of u, v and w from their limits at t_end
 _DECAY_WINDOW_FRACTION = 0.5  # trailing share of the samples fit_decay uses
+_TINY = np.finfo(float).tiny  # smallest normal float
 
 
 @dataclass(frozen=True)
@@ -257,9 +258,11 @@ def fit_decay(series: Iterable[tuple[float, float]]) -> DecayFit:
 
     Fits -ln(linf_w) against t on the trailing half of the samples
     (``_DECAY_WINDOW_FRACTION``), because the guaranteed rate only applies
-    once the densities sit near their means.
+    once the densities sit near their means.  Samples below the smallest
+    normal float, where an underflowing signal stalls, are left out first.
     """
     pairs = [(float(t), float(w)) for t, w in series]
+    pairs = [(t, w) for t, w in pairs if not 0.0 < w < _TINY]
     n_window = max(int(round(_DECAY_WINDOW_FRACTION * len(pairs))), 3)
     window = pairs[-n_window:]
     if len(window) < 3:
@@ -412,31 +415,32 @@ def verify_run(
         )
     )
 
+    guaranteed = 0.5 * ctx.reference_rate
     try:
-        fit = fit_decay((r.t, r.linf_w) for r in records)
-        guaranteed = 0.5 * ctx.reference_rate
-        checks.append(
-            CheckResult(
-                name="decay_rate",
-                passed=fit.rate >= guaranteed,
-                value=fit.rate,
-                threshold=guaranteed,
-                detail=(
-                    f"fitted exponential rate of ||w||_inf over the trailing "
-                    f"{_DECAY_WINDOW_FRACTION:.0%} (r^2 = {fit.r_squared:.6f}); "
-                    f"guaranteed rate is half of {ctx.reference_rate:.6g}"
-                ),
+        if max(linf_w) == 0.0:
+            rate, detail = math.inf, "the signal is identically zero: nothing to decay"
+        else:
+            fit = fit_decay((r.t, r.linf_w) for r in records)
+            rate, detail = fit.rate, (
+                f"fitted exponential rate of ||w||_inf over the trailing "
+                f"{_DECAY_WINDOW_FRACTION:.0%} (r^2 = {fit.r_squared:.6f}); "
+                f"guaranteed rate is half of {ctx.reference_rate:.6g}"
             )
+        decay = CheckResult(
+            name="decay_rate",
+            passed=rate >= guaranteed,
+            value=rate,
+            threshold=guaranteed,
+            detail=detail,
         )
     except DecayFitError as exc:
-        checks.append(
-            CheckResult(
-                name="decay_rate",
-                passed=False,
-                value=math.nan,
-                threshold=0.0,
-                detail=str(exc),
-            )
+        decay = CheckResult(
+            name="decay_rate",
+            passed=False,
+            value=math.nan,
+            threshold=0.0,
+            detail=str(exc),
         )
+    checks.append(decay)
 
     return VerificationReport(checks=tuple(checks))

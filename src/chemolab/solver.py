@@ -6,9 +6,9 @@ flux with velocity chi * grad(w), absorption pointwise.  Zero-flux boundary
 faces enforce the no-flux condition exactly inside the discrete conservation
 law, so the discrete integrals of u and v telescope to constants.
 :func:`rhs` is that semi-discrete operator, built from the stepper's own
-kernels at unit time scale.  :func:`grad_w_faces`, :func:`species_flux` and
-:func:`divergence` assemble the same operator face by face, independently;
-they are the reference rhs is tested against.
+kernels at unit time scale.  The test suite checks it against an
+independent face-by-face assembly of the same operator
+(``tests/reference_fv.py``), which shares no code with this module.
 
 :func:`step` advances it by Strang splitting, D(dt/2) R(dt/2) A(dt) R(dt/2)
 D(dt/2), second order in dt:
@@ -70,9 +70,6 @@ __all__ = [
     "PositivityError",
     "BlowUpDetected",
     "RunResult",
-    "grad_w_faces",
-    "species_flux",
-    "divergence",
     "rhs",
     "stable_dt",
     "step",
@@ -134,8 +131,8 @@ def _face_density(
     out: np.ndarray,
 ) -> np.ndarray:
     """Density carried by the faces between the ``d_lo`` and ``d_hi`` cells,
-    written to ``out`` and returned; the one face-value rule of the stepper,
-    :func:`rhs` and the :func:`species_flux` reference.
+    written to ``out`` and returned; the one face-value rule of the stepper
+    and :func:`rhs`.
 
     central: the arithmetic average of the two adjacent cells;
     upwind:  the cell the velocity points away from, ``d_lo`` where ``up``
@@ -148,55 +145,6 @@ def _face_density(
     else:
         np.add(d_lo, d_hi, out=out)
         out *= 0.5
-    return out
-
-
-def _with_boundary_faces(interior: np.ndarray, axis: int, grid: Grid) -> np.ndarray:
-    """Full face array along ``axis``: the zero-flux boundary faces carry 0."""
-    return np.pad(interior, [(1, 1) if k == axis else (0, 0) for k in range(grid.dim)])
-
-
-def grad_w_faces(w: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    """Centered two-point signal gradient on faces, one array per axis.
-
-    Face arrays include the boundary faces, which carry exactly zero.
-    """
-    w = np.asarray(w, float)
-    faces = []
-    for axis, h in enumerate(grid.spacing):
-        interior = (w[_hi(axis, grid.dim)] - w[_lo(axis, grid.dim)]) / h
-        faces.append(_with_boundary_faces(interior, axis, grid))
-    return faces
-
-
-def species_flux(
-    density: np.ndarray,
-    chi: float,
-    gw: np.ndarray,
-    scheme: str,
-    grid: Grid,
-    axis: int,
-) -> np.ndarray:
-    """Face flux F = -grad(density) + chi * density_at_face * grad(w).
-
-    ``gw`` is the full face array for this axis (as from
-    :func:`grad_w_faces`); boundary faces of the result are exactly zero.
-    """
-    density = np.asarray(density, float)
-    lo, hi = _lo(axis, grid.dim), _hi(axis, grid.dim)
-    d_lo, d_hi = density[lo], density[hi]
-    vel = chi * gw[hi][lo]  # interior faces
-    flux = _face_density(d_lo, d_hi, vel > 0.0, scheme, np.empty_like(d_lo))
-    flux *= vel
-    flux -= (d_hi - d_lo) / grid.spacing[axis]
-    return _with_boundary_faces(flux, axis, grid)
-
-
-def divergence(fluxes: list[np.ndarray], grid: Grid) -> np.ndarray:
-    """Conservative face-difference divergence of per-axis face fluxes."""
-    out = np.zeros(grid.shape)
-    for axis, (flux, h) in enumerate(zip(fluxes, grid.spacing)):
-        out += (flux[_hi(axis, grid.dim)] - flux[_lo(axis, grid.dim)]) / h
     return out
 
 
@@ -225,7 +173,6 @@ def rhs(
     ws = _workspace(grid)
     for face in ws.faces:
         face.scale[0], face.scale[1] = params.chi1 / face.h2, params.chi2 / face.h2
-    ws.held = None  # a new signal
     ws.transport(fields[:2], fields[2], out[:2], scheme.advection)
     out[2] -= (params.alpha * state.u + params.beta * state.v) * state.w
     return out[0], out[1], out[2]
@@ -303,8 +250,8 @@ class _Workspace:
     * one set of face buffers, sized for the axis with the most faces and
       shared by all axes: the signal difference ``dw``, the upwind mask
       ``up`` (dw > 0) and the flux of both species, whose first row also
-      holds |dw| while :meth:`face_rate` sums it.  ``held`` names the axis
-      whose ``dw`` and ``up`` are current.
+      holds |dw| while :meth:`face_rate` sums it.  A method that reads them
+      fills them first, so no call depends on what an earlier one left.
 
     The methods work in place on a stacked (3, *grid.shape) array of u, v
     and w.  :func:`step` makes that array fresh every step, because it is
@@ -352,7 +299,6 @@ class _Workspace:
             face.scale = np.empty((2,) + (1,) * dim)  # per species
             face.rate_lo, face.rate_hi = self.rate[face.lo], self.rate[face.hi]
             self.faces.append(face)
-        self.held = None
 
     def decay_for(self, tau: float) -> np.ndarray:
         """exp(tau * eigenvalue), recomputed only when tau changed."""
@@ -420,23 +366,14 @@ class _Workspace:
         np.exp(exponent, out=exponent)
         fields[2] *= exponent
 
-    def _signal(self, axis: int, w: np.ndarray, upwind: bool) -> np.ndarray:
-        """Put w's differences across the faces of ``axis`` (and, for
-        upwind, their signs) into the face buffers."""
-        face = self.faces[axis]
-        np.subtract(w[face.hi], w[face.lo], out=face.dw)
-        if upwind:
-            np.greater(face.dw, 0.0, out=face.up)
-        self.held = axis
-        return face.dw
-
-    def face_rate(self, w: np.ndarray, chi: float, upwind: bool) -> np.ndarray:
+    def face_rate(self, w: np.ndarray, chi: float) -> np.ndarray:
         """Add each cell's advective face rate, chi |grad w| / h summed over
         the cell's faces, to ``rate`` and return it: the one bound behind
         :func:`stable_dt` and the chemotaxis substeps."""
-        for axis, face in enumerate(self.faces):
+        for face in self.faces:
             rate = face.flux[0]
-            np.abs(self._signal(axis, w, upwind), out=rate)
+            np.subtract(w[face.hi], w[face.lo], out=rate)
+            np.abs(rate, out=rate)
             rate *= chi / face.h2
             face.rate_lo += rate
             face.rate_hi += rate
@@ -448,11 +385,12 @@ class _Workspace:
         """Add dt times the chemotaxis term -div(chi d grad w) of the stacked
         densities ``dens`` (species first) to ``out``; each face's ``scale``
         holds the sensitivity of each species times dt / h^2 (dt = 1 in
-        :func:`rhs`).  Reuses the face buffers of axis ``held``, so a caller
-        with a new ``w`` resets ``held`` or calls :meth:`face_rate` first."""
-        for axis, face in enumerate(self.faces):
-            if self.held != axis:
-                self._signal(axis, w, scheme == "upwind")
+        :func:`rhs`)."""
+        upwind = scheme == "upwind"
+        for face in self.faces:
+            np.subtract(w[face.hi], w[face.lo], out=face.dw)
+            if upwind:
+                np.greater(face.dw, 0.0, out=face.up)
             lo, hi = face.lo2, face.hi2
             flux = _face_density(dens[lo], dens[hi], face.up, scheme, face.flux)
             flux *= face.dw
@@ -475,7 +413,7 @@ class _Workspace:
         """
         dens, w, stage = fields[:2], fields[2], self.stage
         self.rate.fill(0.0)
-        rate = self.face_rate(w, max(params.chi1, params.chi2), scheme == "upwind")
+        rate = self.face_rate(w, max(params.chi1, params.chi2))
         needed = dt * float(np.maximum.reduce(rate, axis=None))
         substeps = math.ceil(needed) if 1.0 < needed < math.inf else 1  # NaN -> 1
         for face in self.faces:
@@ -521,7 +459,7 @@ def stable_dt(
     ws = _workspace(grid)
     rate = np.multiply(state.u, params.alpha, out=ws.rate)
     rate += np.multiply(state.v, params.beta, out=ws.rows[0])
-    ws.face_rate(state.w, max(params.chi1, params.chi2), upwind=False)
+    ws.face_rate(state.w, max(params.chi1, params.chi2))
     worst = max(float(np.maximum.reduce(rate, axis=None)), _TINY)
     return min(scheme.cfl_safety / worst, scheme.dt_max)
 

@@ -110,6 +110,16 @@ def test_parse_rejects_fractional_cell_counts(tmp_path):
     assert parse_config(write_config(tmp_path, whole)).grid.cells == (8, 8)
 
 
+@pytest.mark.parametrize(
+    "key, entries", [("lengths", [True, 1.0]), ("cells", ["8", 8]), ("cells", [8, False])]
+)
+def test_parse_rejects_bool_and_string_grid_entries(tmp_path, key, entries):
+    bad = minimal_config()
+    bad["grid"][key] = entries
+    with pytest.raises(ConfigError, match=f"grid.{key} must be a list of numbers"):
+        parse_config(write_config(tmp_path, bad))
+
+
 def test_parse_weight_group(tmp_path):
     cfg = minimal_config(weight={"p": 2.0, "eps": 0.3})
     parsed = parse_config(write_config(tmp_path, cfg))
@@ -238,6 +248,27 @@ def test_cmd_run_passing_scenario_exits_zero(tmp_path):
     assert manifest["tool_version"]
     assert manifest["started"] <= manifest["finished"]
     assert manifest["steps"] == run(parse_config(cfg_path)).steps > 0
+
+
+def test_cmd_run_zero_signal_passes_the_decay_check(tmp_path):
+    # w = 0 stays 0: there is no rate to fit, and nothing left to decay
+    cfg = minimal_config(
+        grid={"lengths": [1.0], "cells": [16]},
+        initial={
+            "u": {"kind": "cosine_bump", "base": 1.0, "amplitude": 0.5},
+            "v": {"kind": "cosine_bump", "base": 1.0, "amplitude": 0.25},
+            "w": {"kind": "constant", "value": 0.0},
+        },
+        time={"t_end": 1.0},
+    )
+    out = tmp_path / "zero"
+    code = main(
+        ["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--quiet"]
+    )
+    assert code == 0
+    checks = json.loads((out / "verification.json").read_text())["checks"]
+    decay = next(c for c in checks if c["name"] == "decay_rate")
+    assert decay["passed"] and "identically zero" in decay["detail"]
 
 
 @pytest.mark.parametrize("w0", [1e-150, 1e-160, 1e-170, 1e-300])
@@ -520,6 +551,16 @@ def test_cmd_convergence_table(tmp_path, capsys):
     assert "observed order" in out
     order = float(out.strip().splitlines()[-1].split("=")[1])
     assert order >= 1.8
+
+
+def test_cmd_convergence_rejects_too_few_levels_before_running(tmp_path, capsys):
+    # the config is never read: a missing file would be an I/O error instead
+    absent = str(tmp_path / "absent.json")
+    code = main(["convergence", "--config", absent, "--levels", "2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no table
+    assert captured.err.startswith("error: --levels must be at least 3")
 
 
 def test_cmd_convergence_level_ending_early_exits_one(tmp_path, capsys):

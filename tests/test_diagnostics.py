@@ -351,6 +351,15 @@ def test_fit_decay_declines_bad_windows():
         fit_decay(zip(t, w))
 
 
+def test_fit_decay_leaves_out_underflowed_samples():
+    # a signal that stalls at a subnormal floor still decays at its rate
+    t = np.linspace(0.0, 800.0, 201)
+    w = np.maximum(np.exp(-2.0 * t), 1e-323)
+    assert np.count_nonzero(w < np.finfo(float).tiny) > 100
+    fit = fit_decay(zip(t, w))
+    assert fit.rate == pytest.approx(2.0, rel=1e-9)
+
+
 def test_fit_decay_on_homogeneous_run(homogeneous_run):
     series = [(r.t, r.linf_w) for r in homogeneous_run.records]
     fit = fit_decay(series)

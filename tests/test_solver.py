@@ -26,15 +26,13 @@ from chemolab.solver import (
     PositivityError,
     SchemeOptions,
     SolverError,
-    divergence,
-    grad_w_faces,
     rhs,
     run,
-    species_flux,
     stable_dt,
     step,
 )
 from tests.conftest import reference_scenario
+from tests.reference_fv import divergence, grad_w_faces, species_flux
 
 PARAMS = ModelParams(1.0, 1.0, 1.0, 1.0)
 CENTRAL = SchemeOptions(advection="central")
@@ -184,33 +182,47 @@ def test_rhs_telescopes_to_zero_total():
         assert abs(dv.sum()) <= 1e-13 * scale
 
 
-def test_rhs_matches_flux_divergence_composition():
-    # independent assembly from the public face operations
+def _composed_rhs(state, params, g, scheme):
+    """(du, dv, dw) assembled face by face from tests/reference_fv.py."""
+    gw = grad_w_faces(state.w, g)
+    flux = [
+        [species_flux(d, chi, gw[k], scheme, g, k) for k in range(g.dim)]
+        for d, chi in ((state.u, params.chi1), (state.v, params.chi2), (state.w, 0.0))
+    ]
+    du, dv, dw = (-divergence(f, g) for f in flux)
+    return du, dv, dw - (params.alpha * state.u + params.beta * state.v) * state.w
+
+
+def _composition_case():
     rng = np.random.default_rng(4)
     g = Grid(lengths=(1.0, 1.0), cells=(10, 11))
-    u = 1.0 + rng.random((10, 11))
-    v = 1.0 + rng.random((10, 11))
-    w = rng.random((10, 11))
-    st = State(0.0, u, v, w)
-    params = ModelParams(1.3, 0.8, 0.9, 1.1)
+    u = 1.0 + rng.random(g.shape)
+    v = 1.0 + rng.random(g.shape)
+    return g, State(0.0, u, v, rng.random(g.shape)), ModelParams(1.3, 0.8, 0.9, 1.1)
+
+
+def test_rhs_matches_flux_divergence_composition():
+    g, st, params = _composition_case()
     for opts in (CENTRAL, UPWIND):
-        du, dv, dw = rhs(st, params, g, opts)
-        gw = grad_w_faces(w, g)
-        fu = [
-            species_flux(u, params.chi1, gw[k], opts.advection, g, k)
-            for k in range(2)
-        ]
-        fv = [
-            species_flux(v, params.chi2, gw[k], opts.advection, g, k)
-            for k in range(2)
-        ]
-        fw = [
-            species_flux(w, 0.0, gw[k], opts.advection, g, k) for k in range(2)
-        ]
-        assert np.allclose(du, -divergence(fu, g), rtol=1e-12, atol=1e-10)
-        assert np.allclose(dv, -divergence(fv, g), rtol=1e-12, atol=1e-10)
-        expected_dw = -divergence(fw, g) - (params.alpha * u + params.beta * v) * w
-        assert np.allclose(dw, expected_dw, rtol=1e-12, atol=1e-10)
+        expected = _composed_rhs(st, params, g, opts.advection)
+        for got, want in zip(rhs(st, params, g, opts), expected):
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-10)
+
+
+def test_composition_catches_a_swapped_upwind_cell(monkeypatch):
+    # the reference has its own face rule: rhs built on a face rule that
+    # takes the downwind cell must stop matching it
+    def downwind(d_lo, d_hi, up, scheme, out):
+        np.copyto(out, d_lo)
+        np.copyto(out, d_hi, where=up)
+        return out
+
+    g, st, params = _composition_case()
+    monkeypatch.setattr(solver, "_face_density", downwind)
+    du, dv, _ = rhs(st, params, g, UPWIND)
+    ref_du, ref_dv, _ = _composed_rhs(st, params, g, "upwind")
+    assert not np.allclose(du, ref_du, rtol=1e-12, atol=1e-10)
+    assert not np.allclose(dv, ref_dv, rtol=1e-12, atol=1e-10)
 
 
 def _manufactured_1d(m):
