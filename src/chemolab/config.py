@@ -25,6 +25,7 @@ from .model import (
     InitialSpec,
     ModelParams,
     ScenarioConfig,
+    SchemeOptions,
 )
 
 __all__ = ["ConfigError", "parse_config", "config_to_dict", "config_digest"]
@@ -55,9 +56,10 @@ def _reject_unknown(table: dict, allowed: set[str], path: str) -> None:
             raise ConfigError(f"unknown key {path}.{key}" if path else f"unknown key {key}")
 
 
-# (section, key) -> ScenarioConfig attribute, dotted for params and grid.
-# Defaults live in ScenarioConfig; the keys listed in _OPTIONAL may be left
-# out, every other key of a section that is present is required.
+# (section, key) -> ScenarioConfig attribute, dotted for params, grid and
+# options.  Defaults live in the class that holds the value; the keys listed
+# in _OPTIONAL may be left out, every other key of a section that is present
+# is required.
 _SCHEMA = {
     ("params", "chi1"): "params.chi1",
     ("params", "chi2"): "params.chi2",
@@ -66,11 +68,11 @@ _SCHEMA = {
     ("grid", "lengths"): "grid.lengths",
     ("grid", "cells"): "grid.cells",
     ("time", "t_end"): "t_end",
-    ("time", "dt_max"): "dt_max",
-    ("time", "cfl_safety"): "cfl_safety",
+    ("time", "dt_max"): "options.dt_max",
+    ("time", "cfl_safety"): "options.cfl_safety",
     ("output", "every"): "output_every",
-    ("scheme", "advection"): "scheme",
-    ("scheme", "blowup_linf"): "blowup_linf",
+    ("scheme", "advection"): "options.advection",
+    ("scheme", "blowup_linf"): "options.blowup_linf",
     ("weight", "p"): "weight_p",
     ("weight", "eps"): "weight_eps",
 }
@@ -162,11 +164,7 @@ def _parse_field(raw: Any, path: str, config_dir: Path) -> InitialField:
 
 
 def parse_config(path) -> ScenarioConfig:
-    """Load and fully resolve a scenario config, applying defaults.
-
-    Defaults: scheme central, cfl_safety 0.5, dt_max t_end,
-    output_every t_end/200, blowup_linf 1e8.
-    """
+    """Load and fully resolve a scenario config, applying defaults."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -183,8 +181,9 @@ def parse_config(path) -> ScenarioConfig:
         if required not in root:
             raise ConfigError(f"missing section {required}")
 
-    # owner ("" for ScenarioConfig itself, "params", "grid") -> {name: value}
-    values: dict[str, dict[str, Any]] = {"": {}, "params": {}, "grid": {}}
+    # owner ("" for ScenarioConfig itself, "params", "grid", "options")
+    # -> {name: value}
+    values: dict[str, dict[str, Any]] = {"": {}, "params": {}, "grid": {}, "options": {}}
     for section in _SECTIONS:
         if section == "initial" or section not in root:
             continue
@@ -200,6 +199,7 @@ def parse_config(path) -> ScenarioConfig:
 
     try:
         params = ModelParams(**values["params"])
+        options = SchemeOptions(**values["options"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     try:
@@ -220,7 +220,9 @@ def parse_config(path) -> ScenarioConfig:
     )
 
     try:
-        return ScenarioConfig(params=params, grid=grid, initial=initial, **values[""])
+        return ScenarioConfig(
+            params=params, grid=grid, initial=initial, options=options, **values[""]
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

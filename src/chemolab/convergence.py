@@ -129,10 +129,9 @@ def time_order_study(config: ScenarioConfig, dt0: float) -> tuple[list[float], f
     """
     finals = []
     for divisor in (1, 2, 4):
-        cfg = replace(
-            config, dt_max=dt0 / divisor, output_every=config.t_end
-        )
-        finals.append(_final_fields(cfg, f"time-order run at dt {cfg.dt_max}"))
+        options = replace(config.options, dt_max=dt0 / divisor)
+        cfg = replace(config, options=options, output_every=config.t_end)
+        finals.append(_final_fields(cfg, f"time-order run at dt {cfg.options.dt_max}"))
 
     def state_diff(a, b):
         return math.sqrt(

@@ -7,11 +7,13 @@ marked read-only), so they can be shared across threads without coordination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
+
+from .weight import _check_p_eps
 
 __all__ = [
     "ModelParams",
@@ -68,7 +70,11 @@ class Grid:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
         for m in self.cells:
-            if isinstance(m, bool) or not float(m).is_integer():
+            try:
+                whole = not isinstance(m, bool) and float(m).is_integer()
+            except OverflowError:
+                raise ValueError("grid.cells entry is too large for a float") from None
+            if not whole:
                 raise ValueError(f"grid.cells must be whole numbers, got {m!r}")
         object.__setattr__(self, "cells", tuple(int(m) for m in self.cells))
         if not 1 <= len(self.lengths) <= 3:
@@ -354,44 +360,31 @@ class SchemeOptions:
 class ScenarioConfig:
     """Everything a simulation run needs, fully resolved.
 
-    Defaults: dt_max = t_end, output_every = t_end / 200.  The scheme
-    fields are validated by building :attr:`options`, which the solver uses.
+    An ``options.dt_max`` above ``t_end`` is lowered to ``t_end``: no step of
+    a run is longer.
     """
 
     params: ModelParams
     grid: Grid
     initial: InitialSpec
     t_end: float
-    dt_max: float | None = None
-    cfl_safety: float = 0.5
     output_every: float | None = None
-    scheme: str = "central"
-    blowup_linf: float = 1e8
+    options: SchemeOptions = SchemeOptions()
     weight_p: float | None = None
     weight_eps: float | None = None
-    options: SchemeOptions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
             raise ValueError(f"time.t_end must be a positive real, got {self.t_end}")
-        if self.dt_max is None:
-            object.__setattr__(self, "dt_max", self.t_end)
+        if self.options.dt_max > self.t_end:
+            object.__setattr__(self, "options", replace(self.options, dt_max=self.t_end))
         if self.output_every is None:
             object.__setattr__(self, "output_every", self.t_end / 200.0)
         if not (0.0 < self.output_every and math.isfinite(self.output_every)):
             raise ValueError(
                 f"output.every must be a positive real, got {self.output_every}"
             )
-        object.__setattr__(
-            self,
-            "options",
-            SchemeOptions(self.scheme, self.dt_max, self.cfl_safety, self.blowup_linf),
-        )
         if (self.weight_p is None) != (self.weight_eps is None):
             raise ValueError("weight.p and weight.eps must be given together")
-        if self.weight_p is not None and not self.weight_p > 1.0:
-            raise ValueError(f"weight.p must be > 1, got {self.weight_p}")
-        if self.weight_eps is not None and not (0.0 < self.weight_eps < 1.0):
-            raise ValueError(
-                f"weight.eps must lie in (0, 1), got {self.weight_eps}"
-            )
+        if self.weight_p is not None:
+            _check_p_eps(self.weight_p, self.weight_eps, "weight.")

@@ -171,9 +171,7 @@ def rhs(
         out[lo] += flux
         out[hi] -= flux
     ws = _workspace(grid)
-    for face in ws.faces:
-        face.scale[0], face.scale[1] = params.chi1 / face.h2, params.chi2 / face.h2
-    ws.transport(fields[:2], fields[2], out[:2], scheme.advection)
+    ws.transport(fields[:2], fields[2], out[:2], 1.0, params, scheme.advection)
     out[2] -= (params.alpha * state.u + params.beta * state.v) * state.w
     return out[0], out[1], out[2]
 
@@ -232,8 +230,7 @@ class _Face:
     """One axis's face geometry and its share of the workspace's face
     buffers; ``dw``, ``up`` and ``flux`` alias those of every other axis."""
 
-    __slots__ = ("lo", "hi", "lo2", "hi2", "h2", "dw", "up", "flux", "scale",
-                 "rate_lo", "rate_hi")
+    __slots__ = ("lo", "hi", "lo2", "hi2", "h2", "dw", "up", "flux", "rate_lo", "rate_hi")
 
 
 class _Workspace:
@@ -250,8 +247,10 @@ class _Workspace:
     * one set of face buffers, sized for the axis with the most faces and
       shared by all axes: the signal difference ``dw``, the upwind mask
       ``up`` (dw > 0) and the flux of both species, whose first row also
-      holds |dw| while :meth:`face_rate` sums it.  A method that reads them
-      fills them first, so no call depends on what an earlier one left.
+      holds |dw| while :meth:`face_rate` sums it, and ``chi_scale``, each
+      species' chi times dt / h^2 for the face :meth:`transport` is on.  A
+      method that reads them fills them first, so no call depends on what
+      an earlier one left.
 
     The methods work in place on a stacked (3, *grid.shape) array of u, v
     and w.  :func:`step` makes that array fresh every step, because it is
@@ -288,6 +287,10 @@ class _Workspace:
                   for axis in range(dim)]
         most = max(math.prod(shape) for shape in shapes)
         dw, up, flux = np.empty(most), np.empty(most, bool), np.empty(2 * most)
+        # chi_i dt / h^2 per species, set by transport for each face; ``scale`` is
+        # its view that broadcasts over a face (1-D scalar writes are ~5x faster)
+        self.chi_scale = np.empty(2)
+        self.scale = self.chi_scale.reshape((2,) + (1,) * dim)
         self.faces = []
         for axis, (shape, h) in enumerate(zip(shapes, grid.spacing)):
             face, n = _Face(), math.prod(shape)
@@ -296,7 +299,6 @@ class _Workspace:
             face.h2 = h * h
             face.dw, face.up = dw[:n].reshape(shape), up[:n].reshape(shape)
             face.flux = flux[: 2 * n].reshape((2,) + shape)
-            face.scale = np.empty((2,) + (1,) * dim)  # per species
             face.rate_lo, face.rate_hi = self.rate[face.lo], self.rate[face.hi]
             self.faces.append(face)
 
@@ -380,21 +382,22 @@ class _Workspace:
         return self.rate
 
     def transport(
-        self, dens: np.ndarray, w: np.ndarray, out: np.ndarray, scheme: str
+        self, dens: np.ndarray, w: np.ndarray, out: np.ndarray, dt: float,
+        params: ModelParams, scheme: str,
     ) -> None:
         """Add dt times the chemotaxis term -div(chi d grad w) of the stacked
-        densities ``dens`` (species first) to ``out``; each face's ``scale``
-        holds the sensitivity of each species times dt / h^2 (dt = 1 in
-        :func:`rhs`)."""
-        upwind = scheme == "upwind"
+        densities ``dens`` (species first) to ``out`` (dt = 1 in :func:`rhs`)."""
+        upwind, chi_scale, scale = scheme == "upwind", self.chi_scale, self.scale
         for face in self.faces:
+            tau = dt / face.h2
+            chi_scale[0], chi_scale[1] = params.chi1 * tau, params.chi2 * tau
             np.subtract(w[face.hi], w[face.lo], out=face.dw)
             if upwind:
                 np.greater(face.dw, 0.0, out=face.up)
             lo, hi = face.lo2, face.hi2
             flux = _face_density(dens[lo], dens[hi], face.up, scheme, face.flux)
             flux *= face.dw
-            flux *= face.scale
+            flux *= scale
             out_lo, out_hi = out[lo], out[hi]
             out_lo -= flux
             out_hi += flux
@@ -416,14 +419,12 @@ class _Workspace:
         rate = self.face_rate(w, max(params.chi1, params.chi2))
         needed = dt * float(np.maximum.reduce(rate, axis=None))
         substeps = math.ceil(needed) if 1.0 < needed < math.inf else 1  # NaN -> 1
-        for face in self.faces:
-            tau = dt / substeps / face.h2
-            face.scale[0], face.scale[1] = params.chi1 * tau, params.chi2 * tau
+        tau = dt / substeps
         for _ in range(substeps):
             np.copyto(stage, dens)
-            self.transport(dens, w, stage, scheme)
+            self.transport(dens, w, stage, tau, params, scheme)
             dens += stage
-            self.transport(stage, w, dens, scheme)
+            self.transport(stage, w, dens, tau, params, scheme)
             dens *= 0.5
 
 

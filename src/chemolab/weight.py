@@ -44,11 +44,13 @@ _BOUNDARY_MARGIN = 1e-12
 _P_MAX = math.sqrt(sys.float_info.max) / 4.0
 
 
-def _check_p_eps(p: float, eps: float) -> None:
+def _check_p_eps(p: float, eps: float, key: str = "") -> None:
+    """Raise ValueError unless the construction takes (p, eps); ``key``
+    prefixes the names in the message (``"weight."`` for the config keys)."""
     if not 1.0 < p <= _P_MAX:
-        raise ValueError(f"p must be a real in (1, {_P_MAX:.6g}], got {p}")
+        raise ValueError(f"{key}p must be a real in (1, {_P_MAX:.6g}], got {p}")
     if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must lie strictly inside (0, 1), got {eps}")
+        raise ValueError(f"{key}eps must lie strictly inside (0, 1), got {eps}")
 
 
 def coefficients(p: float, eps: float) -> tuple[float, float, float, float]:

@@ -7,6 +7,7 @@ from chemolab.model import (
     InitialSpec,
     ModelParams,
     ScenarioConfig,
+    SchemeOptions,
 )
 from chemolab.solver import run
 
@@ -30,8 +31,7 @@ def reference_scenario(cells=(64, 64), t_end=5.0, scheme="central") -> ScenarioC
             w=CosineBumpInit(base=0.25, amplitude=0.25, modes=first_axis),
         ),
         t_end=t_end,
-        dt_max=t_end,
-        scheme=scheme,
+        options=SchemeOptions(advection=scheme),
     )
 
 
@@ -43,7 +43,6 @@ def homogeneous_scenario(t_end=1.0) -> ScenarioConfig:
             u=ConstantInit(1.0), v=ConstantInit(1.0), w=ConstantInit(0.5)
         ),
         t_end=t_end,
-        dt_max=t_end,
     )
 
 

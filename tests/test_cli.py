@@ -1,13 +1,15 @@
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chemolab import model, solver
 from chemolab.cli import main, read_diagnostics_csv, write_diagnostics_csv
-from chemolab.config import ConfigError, config_digest, parse_config
+from chemolab.config import ConfigError, config_digest, config_to_dict, parse_config
 from chemolab.model import FileInit, Grid, write_field_raw
 from chemolab.solver import run
 
@@ -38,11 +40,11 @@ def write_config(tmp_path, cfg, name="scenario.json"):
 
 def test_parse_minimal_config_applies_defaults(tmp_path):
     cfg = parse_config(write_config(tmp_path, minimal_config()))
-    assert cfg.scheme == "central"
-    assert cfg.cfl_safety == 0.5
+    assert cfg.options.advection == "central"
+    assert cfg.options.cfl_safety == 0.5
     assert cfg.output_every == pytest.approx(0.1 / 200.0)
-    assert cfg.dt_max == 0.1
-    assert cfg.blowup_linf == 1e8
+    assert cfg.options.dt_max == 0.1
+    assert cfg.options.blowup_linf == 1e8
     assert cfg.weight_p is None
 
 
@@ -129,6 +131,23 @@ def test_parse_weight_group(tmp_path):
         parse_config(write_config(tmp_path, bad))
 
 
+def test_omitted_keys_resolve_to_the_written_out_defaults(tmp_path):
+    bare = parse_config(write_config(tmp_path, minimal_config(), "bare.json"))
+    full = minimal_config(
+        output={"every": 0.1 / 200},
+        scheme={"advection": "central", "blowup_linf": 1e8},
+    )
+    full["time"].update(dt_max=0.1, cfl_safety=0.5)
+    written = parse_config(write_config(tmp_path, full, "full.json"))
+    assert config_to_dict(bare) == config_to_dict(written)
+    assert config_to_dict(bare)["time"] == {"t_end": 0.1, "dt_max": 0.1, "cfl_safety": 0.5}
+    assert config_digest(bare) == config_digest(written)
+    # a cap above t_end never binds: it resolves to t_end
+    full["time"]["dt_max"] = 1.0
+    above = parse_config(write_config(tmp_path, full, "above.json"))
+    assert config_digest(above) == config_digest(bare)
+
+
 def test_parse_rejects_zero_output_every(tmp_path):
     bad = minimal_config(output={"every": 0})
     with pytest.raises(ConfigError, match="output.every"):
@@ -188,6 +207,13 @@ README_CONFIG = {
     "scheme": {"advection": "central", "blowup_linf": 1e8},
     "weight": {"p": 2.0, "eps": 0.3},
 }
+
+
+def test_readme_example_is_the_pinned_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    assert json.loads(blocks[0]) == README_CONFIG
 
 
 def test_digest_of_readme_example_is_pinned(tmp_path):
@@ -473,6 +499,23 @@ def test_cmd_run_unwritable_out_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "error" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("grid", {"grid": {"lengths": [1.0, 1.0], "cells": [10**400, 8]}}),
+        ("weight.p", {"weight": {"p": 1e200, "eps": 0.3}}),
+    ],
+)
+def test_cmd_run_rejects_an_unusable_value_before_running(tmp_path, capsys, key, overrides):
+    cfg_path = write_config(tmp_path, minimal_config(**overrides))
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not (out / "diagnostics.csv").exists()
 
 
 def test_cmd_run_missing_config_exits_one(tmp_path, capsys):

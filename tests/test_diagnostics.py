@@ -23,6 +23,7 @@ from chemolab.model import (
     InitialSpec,
     ModelParams,
     ScenarioConfig,
+    SchemeOptions,
     State,
     _hi,
     _lo,
@@ -308,8 +309,7 @@ def test_run_ending_early_mid_block_keeps_every_good_sample(monkeypatch):
         ),
         t_end=2.0,
         output_every=5e-4,
-        scheme="upwind",
-        blowup_linf=3.0,
+        options=SchemeOptions(advection="upwind", blowup_linf=3.0),
     )
     monkeypatch.setattr(solver, "_BLOCK_BYTES", 1)  # a record per sample
     by_one = run(config)
@@ -381,7 +381,6 @@ def test_verify_homogeneous_run_all_pass():
         grid=Grid(lengths=(1.0, 1.0), cells=(8, 8)),
         initial=InitialSpec(ConstantInit(1.0), ConstantInit(1.0), ConstantInit(0.5)),
         t_end=4.0,
-        dt_max=4.0,
     )
     res = run(cfg)
     report = verify_run(res.records, res.context)

@@ -12,6 +12,7 @@ from chemolab.model import (
     InitialSpec,
     ModelParams,
     ScenarioConfig,
+    SchemeOptions,
     State,
     read_field_raw,
     threshold_check,
@@ -203,26 +204,29 @@ def test_raw_field_size_mismatch(tmp_path):
 def test_scenario_config_defaults_and_guards():
     g = Grid(lengths=(1.0,), cells=(8,))
     spec = InitialSpec(ConstantInit(1.0), ConstantInit(1.0), ConstantInit(0.5))
-    cfg = ScenarioConfig(
-        params=ModelParams(1, 1, 1, 1), grid=g, initial=spec, t_end=2.0, dt_max=2.0
-    )
+    cfg = ScenarioConfig(params=ModelParams(1, 1, 1, 1), grid=g, initial=spec, t_end=2.0)
     assert cfg.output_every == pytest.approx(0.01)
-    assert cfg.scheme == "central"
-    assert cfg.cfl_safety == 0.5
+    assert cfg.options == SchemeOptions(dt_max=2.0)  # dt_max lowered to t_end
+    assert cfg.options.advection == "central"
+    assert cfg.options.cfl_safety == 0.5
+    slower = ScenarioConfig(
+        ModelParams(1, 1, 1, 1), g, spec, t_end=2.0, options=SchemeOptions(dt_max=0.5)
+    )
+    assert slower.options.dt_max == 0.5
     with pytest.raises(ValueError, match="t_end"):
-        ScenarioConfig(ModelParams(1, 1, 1, 1), g, spec, t_end=0.0, dt_max=1.0)
+        ScenarioConfig(ModelParams(1, 1, 1, 1), g, spec, t_end=0.0)
     with pytest.raises(ValueError, match="cfl_safety"):
-        ScenarioConfig(
-            ModelParams(1, 1, 1, 1), g, spec, t_end=1.0, dt_max=1.0, cfl_safety=1.5
-        )
+        SchemeOptions(cfl_safety=1.5)
     with pytest.raises(ValueError, match="advection"):
-        ScenarioConfig(
-            ModelParams(1, 1, 1, 1), g, spec, t_end=1.0, dt_max=1.0, scheme="weno"
-        )
+        SchemeOptions(advection="weno")
     with pytest.raises(ValueError, match="output.every"):
-        ScenarioConfig(
-            ModelParams(1, 1, 1, 1), g, spec, t_end=1.0, dt_max=1.0, output_every=0.0
-        )
+        ScenarioConfig(ModelParams(1, 1, 1, 1), g, spec, t_end=1.0, output_every=0.0)
     for pair in ({"weight_p": 2.0}, {"weight_eps": 0.3}):
         with pytest.raises(ValueError, match="weight.p and weight.eps"):
             ScenarioConfig(ModelParams(1, 1, 1, 1), g, spec, t_end=1.0, **pair)
+    for p, eps, key in ((1e200, 0.3, "weight.p"), (1.0, 0.3, "weight.p"),
+                        (2.0, 1.0, "weight.eps")):
+        with pytest.raises(ValueError, match=key):
+            ScenarioConfig(
+                ModelParams(1, 1, 1, 1), g, spec, t_end=1.0, weight_p=p, weight_eps=eps
+            )

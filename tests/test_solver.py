@@ -581,7 +581,6 @@ def test_run_homogeneous_short():
         grid=Grid(lengths=(1.0, 1.0), cells=(16, 16)),
         initial=InitialSpec(ConstantInit(1.0), ConstantInit(1.0), ConstantInit(0.5)),
         t_end=0.25,
-        dt_max=0.25,
     )
     res = run(cfg)
     assert res.outcome == "completed"
@@ -605,7 +604,6 @@ def test_run_is_deterministic():
             CosineBumpInit(0.25, 0.25, (1,)),
         ),
         t_end=0.2,
-        dt_max=0.2,
     )
     first = run(cfg)
     second = run(cfg)
@@ -620,7 +618,6 @@ def test_run_refuses_underflowing_dt():
         grid=Grid(lengths=(1.0,), cells=(8,)),
         initial=InitialSpec(ConstantInit(1.0), ConstantInit(1.0), ConstantInit(0.5)),
         t_end=1.0,
-        dt_max=1.0,
     )
     res = run(cfg)
     assert res.outcome == "stalled"
@@ -643,9 +640,7 @@ def test_run_reports_blowup_via_sentinel():
             w=CosineBumpInit(base=0.5, amplitude=0.5, modes=(1,)),
         ),
         t_end=2.0,
-        dt_max=2.0,
-        scheme="upwind",
-        blowup_linf=3.0,
+        options=SchemeOptions(advection="upwind", blowup_linf=3.0),
     )
     res = run(cfg)
     assert res.outcome == "blowup"
