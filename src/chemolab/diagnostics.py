@@ -9,7 +9,7 @@ per quantity over all of them (:func:`record_block`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass, fields as dataclass_fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -141,13 +141,10 @@ def _weighted_lp(
 
 
 def lyapunov(state: State, wf: WeightFunction, chi: float, grid: Grid) -> float:
-    """Weighted L^p value (1/p) int u^p phi(chi * w); inf beyond float range."""
-    w_scaled_max = chi * float(state.w.max())
-    if w_scaled_max > wf.m:
-        raise ValueError(
-            f"weight domain exceeded: chi*max(w) = {w_scaled_max} > m = {wf.m} "
-            "(the amplitude bound used to build the weight was too small)"
-        )
+    """Weighted L^p value (1/p) int u^p phi(chi * w); inf beyond float range.
+
+    Raises ``ValueError`` when chi * w leaves the weight's domain [0, m].
+    """
     return float(_weighted_lp(state.u[None], state.w[None], wf, chi, grid)[0])
 
 
@@ -297,15 +294,6 @@ class CheckResult:
     threshold: float
     detail: str
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "value": self.value,
-            "threshold": self.threshold,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -316,7 +304,7 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+        return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
     def __iter__(self):
         return iter(self.checks)

@@ -213,19 +213,6 @@ def _axis_basis(m: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return even, odd, eig
 
 
-@lru_cache(maxsize=8)
-def _eigenvalues(grid: Grid) -> np.ndarray:
-    """The zero-flux Laplacian's eigenvalue of every mode of ``grid``, the
-    sum of the per-axis ones, in the spectral layout of the DCT."""
-    eig = np.zeros(grid.shape)
-    for axis, (m, h) in enumerate(zip(grid.cells, grid.spacing)):
-        shape = [1] * grid.dim
-        shape[axis] = m
-        eig = eig + _axis_basis(m, h)[2].reshape(shape)
-    eig.flags.writeable = False
-    return eig
-
-
 class _Face:
     """One axis's face geometry and its share of the workspace's face
     buffers; ``dw``, ``up`` and ``flux`` alias those of every other axis."""
@@ -241,7 +228,8 @@ class _Workspace:
       rate (``rate``, w's row);
     * ``decay``, exp(tau * eigenvalue) for the tau of :meth:`decay_for`'s
       last call;
-    * per axis, the DCT plan with the views of ``scratch`` it uses, and a
+    * per axis, the DCT plan with the views of ``scratch`` it uses, the
+      zero-flux Laplacian's eigenvalues along the axis (``eigs``), and a
       :class:`_Face`: the face slices, the views of ``rate`` and the
       face buffers;
     * one set of face buffers, sized for the axis with the most faces and
@@ -265,11 +253,11 @@ class _Workspace:
         self.stage, self.rate = self.scratch[:2], self.scratch[2]
         self.rows = tuple(self.scratch)
         self.mean = np.empty((3, 1))
-        self.eig = _eigenvalues(grid)
         self.decay, self.tau = np.empty(grid.shape), None
-        self.plans = []
+        self.eigs, self.plans = [], []
         for axis, (m, h) in enumerate(zip(grid.cells, grid.spacing)):
-            even, odd, _ = _axis_basis(m, h)
+            even, odd, eig = _axis_basis(m, h)
+            self.eigs.append(eig.reshape((m,) + (1,) * (grid.dim - 1 - axis)))
             post = math.prod(grid.cells[axis + 1 :])
             right = post == 1  # transformed by a right product, x @ mat.T
             if right:  # which BLAS reads fastest as a transposed view
@@ -303,10 +291,15 @@ class _Workspace:
             self.faces.append(face)
 
     def decay_for(self, tau: float) -> np.ndarray:
-        """exp(tau * eigenvalue), recomputed only when tau changed."""
+        """exp(tau * eigenvalue), a mode's eigenvalue the sum of its per-axis
+        ones in axis order; recomputed only when tau changed."""
         if tau != self.tau:
-            np.multiply(self.eig, tau, out=self.decay)
-            np.exp(self.decay, out=self.decay)
+            decay = self.decay
+            decay.fill(0.0)
+            for eig in self.eigs:
+                decay += eig
+            decay *= tau
+            np.exp(decay, out=decay)
             self.tau = tau
         return self.decay
 
@@ -538,8 +531,9 @@ def _resolve_weight(
 ) -> tuple[WeightFunction | None, str]:
     """Pick the weight used for the tracked L^p value.
 
-    The amplitude bound is max(chi1, chi2) * ||w0||_inf.  Explicit (p, eps)
-    from the config win; otherwise the threshold construction chooses them
+    The weight must cover the amplitude max(chi1, chi2) * ||w0||_inf.
+    Explicit (p, eps) from the config win, and raise ``ValueError`` when
+    they cannot cover it; otherwise the threshold construction chooses them
     when the amplitude allows it.
     """
     m = max(params.chi1, params.chi2) * w0_max
@@ -547,7 +541,10 @@ def _resolve_weight(
         try:
             return make_weight(config.weight_p, config.weight_eps, m), ""
         except ValueError as exc:
-            return None, f"weight construction failed: {exc}"
+            raise ValueError(
+                f"weight.p = {config.weight_p} and weight.eps = {config.weight_eps} "
+                f"cannot cover the signal amplitude max(chi1, chi2) * ||w0||_inf: {exc}"
+            ) from None
     if m == 0.0:
         return make_weight(2.0, 0.5, 0.0), "degenerate zero-signal weight (p=2)"
     try:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,45 +81,50 @@ def admissible_bound(p: float, eps: float) -> float:
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Weight ``phi = exp(z)`` with all derived constants frozen in.
+    """Weight ``phi = exp(z)`` on [0, m], its other constants derived from
+    (p, eps).
 
+    Construction raises ``ValueError`` unless :func:`coefficients` takes
+    (p, eps) and m is a finite real below :func:`admissible_bound`, out of
+    rounding distance of it; ``m = 0`` is the single point ``phi(0) = 1``.
     Instances are immutable and every evaluation is pure, so they can be
-    shared freely across threads.  Build via :func:`make_weight`, which
-    enforces the amplitude restriction.
+    shared freely across threads.
     """
 
     p: float
     eps: float
     m: float
-    a: float
-    b: float
-    c: float
-    d: float
-    disc: float  # 4ac - b^2
-    kappa: float  # sqrt(disc) / (2d), slope of the tangent argument
-    theta0: float  # arctan(b / sqrt(disc)), tangent phase at s = 0
+    a: float = field(init=False)
+    b: float = field(init=False)
+    c: float = field(init=False)
+    d: float = field(init=False)
+    disc: float = field(init=False)  # 4ac - b^2
+    kappa: float = field(init=False)  # sqrt(disc) / (2d), slope of the tangent argument
+    theta0: float = field(init=False)  # arctan(b / sqrt(disc)), tangent phase at s = 0
 
     def __post_init__(self) -> None:
-        if self.disc <= 0.0:
-            raise ValueError("discriminant 4ac - b^2 must be positive")
-        # The discriminant has a second closed form; they must agree.
-        alt = (16.0 * (self.p - 1.0) ** 2 / self.p) * (
-            1.0 + (self.p - 1.0) * self.eps - self.p * self.eps**2
-        )
-        if abs(alt - self.disc) > 1e-12 * abs(self.disc):
-            raise ValueError("inconsistent discriminant for (p, eps)")
+        a, b, c, d = coefficients(self.p, self.eps)
+        if not (self.m >= 0.0 and math.isfinite(self.m)):
+            raise ValueError(f"m must be a finite real >= 0, got {self.m}")
         bound = admissible_bound(self.p, self.eps)
         if self.m >= bound - _BOUNDARY_MARGIN * max(1.0, bound):
             raise ValueError(
                 f"amplitude m={self.m} reaches the admissible bound "
                 f"{bound} for p={self.p}, eps={self.eps}"
             )
+        disc = 4.0 * a * c - b * b
+        sq = math.sqrt(disc)
+        derived = dict(
+            a=a, b=b, c=c, d=d, disc=disc, kappa=sq / (2.0 * d), theta0=math.atan(b / sq)
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def _angle(self, s):
         """Tangent argument kappa*s + theta0, after checking s is in [0, m]."""
         s = np.asarray(s, dtype=float)
         if s.size and (s.min() < 0.0 or s.max() > self.m):
-            raise ValueError(f"s must lie in [0, {self.m}]")
+            raise ValueError(f"weight domain exceeded: s must lie in [0, {self.m}]")
         ang = self.kappa * s
         ang += self.theta0
         return ang
@@ -185,29 +190,9 @@ class WeightFunction:
 
 
 def make_weight(p: float, eps: float, m: float) -> WeightFunction:
-    """Construct a :class:`WeightFunction` valid on [0, m].
-
-    Raises ``ValueError`` if ``m`` reaches (or comes within rounding distance
-    of) :func:`admissible_bound`, where the tangent would become singular.
-    ``m = 0`` is allowed and degenerates to the single point ``phi(0) = 1``.
-    """
-    a, b, c, d = coefficients(p, eps)
-    if not (m >= 0.0 and math.isfinite(m)):
-        raise ValueError(f"m must be a finite real >= 0, got {m}")
-    disc = 4.0 * a * c - b * b
-    sq = math.sqrt(disc)
-    return WeightFunction(
-        p=p,
-        eps=eps,
-        m=m,
-        a=a,
-        b=b,
-        c=c,
-        d=d,
-        disc=disc,
-        kappa=sq / (2.0 * d),
-        theta0=math.atan(b / sq),
-    )
+    """The :class:`WeightFunction` for (p, eps) valid on [0, m]; raises
+    ``ValueError`` where its construction does."""
+    return WeightFunction(p, eps, m)
 
 
 def epsilon_for_threshold(m: float, n: int) -> float:

@@ -490,6 +490,29 @@ def test_cmd_run_signal_outside_the_weight_domain_exits_two(tmp_path, monkeypatc
     assert not next(c for c in checks if c["name"] == "signal_envelope")["passed"]
 
 
+def test_cmd_run_rejects_an_explicit_weight_that_cannot_cover_the_signal(tmp_path, capsys):
+    # m = max(chi1, chi2) * ||w0||_inf = 1.896 is above the bound 1.826 of
+    # p = 2, eps = 0.3: the run does not start
+    cfg = minimal_config(
+        grid={"lengths": [1.0, 1.0], "cells": [16, 16]},
+        initial={
+            "u": {"kind": "cosine_bump", "base": 1.0, "amplitude": 0.5, "modes": [1, 1]},
+            "v": {"kind": "cosine_bump", "base": 1.0, "amplitude": 0.25, "modes": [1, 0]},
+            "w": {"kind": "cosine_bump", "base": 1.0, "amplitude": 0.9, "modes": [1, 0]},
+        },
+        time={"t_end": 6.0},
+        weight={"p": 2.0, "eps": 0.3},
+    )
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--quiet"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "weight.p" in err and "weight.eps" in err
+    assert not (out / "diagnostics.csv").exists()
+
+
 def test_cmd_run_unwritable_out_exits_one(tmp_path, capsys):
     cfg_path = write_config(tmp_path, minimal_config())
     blocker = tmp_path / "blocker"

@@ -1,10 +1,12 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from chemolab.weight import (
+    WeightFunction,
     admissible_bound,
     coefficients,
     epsilon_for_threshold,
@@ -99,6 +101,10 @@ def test_make_weight_accepts_and_rejects():
         make_weight(2.0, 0.3, bound * (1.0 - 1e-15))
     # comfortably below: accepted
     make_weight(2.0, 0.3, bound - 1e-6)
+    # (p, eps, m) is all a weight is built from, and building one checks m
+    assert [f.name for f in fields(WeightFunction) if f.init] == ["p", "eps", "m"]
+    with pytest.raises(ValueError):
+        WeightFunction(2.0, 0.3, 1.83)
 
 
 def test_make_weight_degenerate_m_zero():
