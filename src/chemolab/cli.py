@@ -13,6 +13,7 @@ import argparse
 import json
 import operator
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -65,22 +66,16 @@ def _now() -> str:
 def _write_snapshot(result: RunResult, outdir: Path) -> list[str]:
     """Final fields in the raw format plus a grid-metadata sidecar, so a
     later config can restart from them via file initializers."""
-    state, grid = result.final_state, result.context.grid
+    state, ctx = result.final_state, result.context
     files = []
     for name, arr in (("u", state.u), ("v", state.v), ("w", state.w)):
         fname = f"final_{name}.raw"
         write_field_raw(arr, outdir / fname)
         files.append(fname)
-    params = result.context.params
     sidecar = {
         "t": state.t,
-        "grid": {"lengths": list(grid.lengths), "cells": list(grid.cells)},
-        "params": {
-            "chi1": params.chi1,
-            "chi2": params.chi2,
-            "alpha": params.alpha,
-            "beta": params.beta,
-        },
+        "grid": asdict(ctx.grid),
+        "params": asdict(ctx.params),
         "fields": {name: f"final_{name}.raw" for name in ("u", "v", "w")},
     }
     (outdir / "final_state.json").write_text(json.dumps(sidecar, indent=2) + "\n")
@@ -177,6 +172,8 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_analyze_weight(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     wf = make_weight(args.p, args.eps, args.m)
     s = np.linspace(0.0, wf.m, args.samples)
     phi = wf.phi(s)

@@ -2,8 +2,9 @@
 decay-rate fits and the end-of-run property checks.
 
 Everything here is a pure computation over immutable snapshots.  The
-records of consecutive samples are computed together, one array operation
-per quantity over all of them (:func:`record_block`).
+records of consecutive samples are computed together (:func:`record_block`):
+each of u, v and w is stacked once over them, and each quantity is one
+array operation over a stack.
 """
 
 from __future__ import annotations
@@ -159,19 +160,32 @@ def record_block(
     """The records of consecutive samples; ``prev`` is the record before the
     first of them, None at t = 0.
 
-    Each quantity is one array operation over every field of every sample,
-    and each sum runs along one field of one sample, as it would for that
-    sample alone: the records equal those of :func:`record`, sample by
-    sample, bit for bit.  A sample whose signal has left the weight's
-    domain (chi1 * max w > m, which only a faulty solver reaches) gets no
-    weighted L^p value, so a block never raises.
+    Each of u, v and w is stacked once over the samples (a view when there
+    is one), and every quantity is computed from these three stacks, one
+    array operation per field.  Each sum runs along one field of one
+    sample, as it would for that sample alone: the records equal those of
+    :func:`record`, sample by sample, bit for bit.  A sample whose signal
+    has left the weight's domain (chi1 * max w > m, which only a faulty
+    solver reaches) gets no weighted L^p value, so a block never raises.
     """
     grid, n = ctx.grid, len(states)
+    u, v, w = (_stacked([getattr(s, name) for s in states]) for name in "uvw")
+    highs = [np.maximum.reduce(f.reshape(n, -1), axis=1) for f in (u, v, w)]
+    lows = [np.minimum.reduce(f.reshape(n, -1), axis=1) for f in (u, v, w)]
+    # max |f - c| is max(max f - c, c - min f): rounding is monotone, so this
+    # is the same float without a field-sized temporary
+    means = (ctx.ubar0, ctx.vbar0)
+    columns = [
+        _integrals(u, grid),
+        _integrals(v, grid),
+        *(np.maximum(hi, -lo) for hi, lo in zip(highs, lows)),
+        *(np.maximum(hi - c, c - lo) for hi, lo, c in zip(highs, lows, means)),
+        *(_dirichlet_energies(f, grid) for f in (u, v, w)),
+    ]
     lyaps = [None] * n
     wf, chi = ctx.weight, ctx.params.chi1
-    if wf is not None:  # before stacking, which would add to its peak memory
-        u, w = _stacked([s.u for s in states]), _stacked([s.w for s in states])
-        inside = chi * np.maximum.reduce(w.reshape(n, -1), axis=1) <= wf.m
+    if wf is not None:
+        inside = chi * highs[2] <= wf.m
         rows = np.flatnonzero(inside).tolist()
         if len(rows) < n:
             u, w = u[inside], w[inside]
@@ -179,22 +193,9 @@ def record_block(
         for i, value in zip(rows, values):
             if math.isfinite(value):  # beyond float range: an empty cell
                 lyaps[i] = value
-        del u, w  # freed before the fields are stacked
-    fields = np.concatenate([f for s in states for f in (s.u, s.v, s.w)])
-    fields = fields.reshape((n, 3) + grid.shape)
-    flat = fields.reshape(n, 3, -1)
-    energies = _dirichlet_energies(fields, grid).tolist()
-    masses = _integrals(fields[:, :2], grid).tolist()
-    # max |f - c| is max(max f - c, c - min f): rounding is monotone, so this
-    # is the same float without a field-sized temporary
-    highs, lows = np.maximum.reduce(flat, axis=2), np.minimum.reduce(flat, axis=2)
-    linfs = np.maximum(highs, -lows).tolist()
-    means = np.array([ctx.ubar0, ctx.vbar0])
-    devs = np.maximum(highs[:, :2] - means, means - lows[:, :2]).tolist()
     out = []
-    for state, lyap, (du, dv, dw), (mass_u, mass_v), (linf_u, linf_v, linf_w), (
-        dev_u, dev_v
-    ) in zip(states, lyaps, energies, masses, linfs, devs):
+    for state, lyap, *row in zip(states, lyaps, *(c.tolist() for c in columns)):
+        mass_u, mass_v, linf_u, linf_v, linf_w, dev_u, dev_v, du, dv, dw = row
         if prev is None:
             cums = (0.0, 0.0, 0.0)
         else:
@@ -324,47 +325,34 @@ def verify_run(
         raise ValueError("verify_run needs at least two records")
     checks: list[CheckResult] = []
 
+    def check(name, value, threshold, detail, passed=None):
+        """Append a check; it passes when value <= threshold unless told."""
+        if passed is None:
+            passed = value <= threshold
+        checks.append(CheckResult(name, passed, value, threshold, detail))
+
     for name in ("u", "v"):
         m0 = getattr(records[0], f"mass_{name}")
         drift = max(abs(getattr(r, f"mass_{name}") - m0) for r in records) / m0
-        checks.append(
-            CheckResult(
-                name=f"mass_conservation_{name}",
-                passed=drift <= _MASS_TOL,
-                value=drift,
-                threshold=_MASS_TOL,
-                detail=f"max relative drift of the discrete integral of {name}",
-            )
+        check(
+            f"mass_conservation_{name}", drift, _MASS_TOL,
+            f"max relative drift of the discrete integral of {name}",
         )
 
     linf_w = [r.linf_w for r in records]
     env_excess = max(linf_w) - ctx.w0_max
-    growth = max(
-        (b - a for a, b in zip(linf_w, linf_w[1:])), default=0.0
-    )
-    checks.append(
-        CheckResult(
-            name="signal_envelope",
-            passed=env_excess <= _ENVELOPE_TOL and growth <= _ENVELOPE_TOL,
-            value=max(env_excess, growth),
-            threshold=_ENVELOPE_TOL,
-            detail=(
-                "max w stays below its initial sup and is nonincreasing; "
-                "nonnegativity is enforced by the stepper at every step"
-            ),
-        )
+    growth = max((b - a for a, b in zip(linf_w, linf_w[1:])), default=0.0)
+    check(
+        "signal_envelope", max(env_excess, growth), _ENVELOPE_TOL,
+        "max w stays below its initial sup and is nonincreasing; "
+        "nonnegativity is enforced by the stepper at every step",
+        passed=env_excess <= _ENVELOPE_TOL and growth <= _ENVELOPE_TOL,
     )
 
-    budget = 0.5 * ctx.int_w0_sq
-    excess = max(r.cum_dirichlet_w for r in records) - budget
-    checks.append(
-        CheckResult(
-            name="signal_energy_budget",
-            passed=excess <= _ENERGY_BUDGET_TOL,
-            value=excess,
-            threshold=_ENERGY_BUDGET_TOL,
-            detail="cumulative int int |grad w|^2 minus half int w0^2, at every sample",
-        )
+    excess = max(r.cum_dirichlet_w for r in records) - 0.5 * ctx.int_w0_sq
+    check(
+        "signal_energy_budget", excess, _ENERGY_BUDGET_TOL,
+        "cumulative int int |grad w|^2 minus half int w0^2, at every sample",
     )
 
     t_end = records[-1].t
@@ -373,34 +361,19 @@ def verify_run(
     for name in ("u", "v"):
         total = getattr(records[-1], f"cum_dirichlet_{name}")
         increment = total - getattr(records[tail_idx], f"cum_dirichlet_{name}")
-        limit = _TAIL_INCREMENT_TOL * total + 1e-30
-        checks.append(
-            CheckResult(
-                name=f"dirichlet_convergence_{name}",
-                passed=increment <= limit,
-                value=increment,
-                threshold=limit,
-                detail=(
-                    f"trailing-{_TAIL_FRACTION:.0%} increment of the cumulative "
-                    f"int int |grad {name}|^2 (finiteness of the energy integral)"
-                ),
-            )
+        check(
+            f"dirichlet_convergence_{name}", increment,
+            _TAIL_INCREMENT_TOL * total + 1e-30,
+            f"trailing-{_TAIL_FRACTION:.0%} increment of the cumulative "
+            f"int int |grad {name}|^2 (finiteness of the energy integral)",
         )
 
     last = records[-1]
-    worst_end = max(last.dev_u, last.dev_v, last.linf_w)
-    checks.append(
-        CheckResult(
-            name="end_state",
-            passed=worst_end <= _END_STATE_TOL,
-            value=worst_end,
-            threshold=_END_STATE_TOL,
-            detail=(
-                "max of ||u-ubar0||_inf, ||v-vbar0||_inf, ||w||_inf at t_end "
-                "(engineering tolerance; no quantitative rate is guaranteed "
-                "for the densities)"
-            ),
-        )
+    check(
+        "end_state", max(last.dev_u, last.dev_v, last.linf_w), _END_STATE_TOL,
+        "max of ||u-ubar0||_inf, ||v-vbar0||_inf, ||w||_inf at t_end "
+        "(engineering tolerance; no quantitative rate is guaranteed "
+        "for the densities)",
     )
 
     guaranteed = 0.5 * ctx.reference_rate
@@ -414,21 +387,9 @@ def verify_run(
                 f"{_DECAY_WINDOW_FRACTION:.0%} (r^2 = {fit.r_squared:.6f}); "
                 f"guaranteed rate is half of {ctx.reference_rate:.6g}"
             )
-        decay = CheckResult(
-            name="decay_rate",
-            passed=rate >= guaranteed,
-            value=rate,
-            threshold=guaranteed,
-            detail=detail,
-        )
     except DecayFitError as exc:
-        decay = CheckResult(
-            name="decay_rate",
-            passed=False,
-            value=math.nan,
-            threshold=0.0,
-            detail=str(exc),
-        )
-    checks.append(decay)
+        check("decay_rate", math.nan, 0.0, str(exc), passed=False)
+    else:
+        check("decay_rate", rate, guaranteed, detail, passed=rate >= guaranteed)
 
     return VerificationReport(checks=tuple(checks))

@@ -317,8 +317,8 @@ class ThresholdReport:
 
 
 def threshold_check(params: ModelParams, w0_max: float, n: int) -> ThresholdReport:
-    if w0_max < 0.0:
-        raise ValueError(f"w0_max must be >= 0, got {w0_max}")
+    if not (w0_max >= 0.0 and math.isfinite(w0_max)):
+        raise ValueError(f"w0_max must be finite and >= 0, got {w0_max}")
     if n < 1:
         raise ValueError(f"dimension n must be >= 1, got {n}")
     m1 = params.chi1 * w0_max

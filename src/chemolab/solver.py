@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -179,7 +178,6 @@ def rhs(
 # ------------------------------------------------------- split operators
 
 
-@lru_cache(maxsize=32)
 def _axis_basis(m: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal DCT-II of one axis of m cells of width h, split by parity.
 
@@ -208,8 +206,6 @@ def _axis_basis(m: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     basis[0] *= math.sqrt(0.5)
     even, odd = basis[:q].copy(), basis[q:, :r].copy()
     eig = -(4.0 / (h * h)) * np.sin(modes * (np.pi / (2 * m))) ** 2
-    for arr in (even, odd, eig):
-        arr.flags.writeable = False
     return even, odd, eig
 
 

@@ -578,6 +578,15 @@ def test_cmd_threshold_above(capsys):
     assert "above threshold" in out
 
 
+@pytest.mark.parametrize("w0max", ["nan", "inf"])
+def test_cmd_threshold_rejects_a_non_finite_signal_amplitude(w0max, capsys):
+    code = main(["threshold", "--n", "2", "--chi1", "1", "--chi2", "1", "--w0max", w0max])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: w0_max must be finite")
+
+
 def test_cmd_analyze_weight_footer(capsys):
     code = main(
         ["analyze-weight", "--p", "2", "--eps", "0.3", "--m", str(math.pi / 2),
@@ -596,6 +605,17 @@ def test_cmd_analyze_weight_rejects_bad_amplitude(capsys):
     code = main(["analyze-weight", "--p", "2", "--eps", "0.3", "--m", "1.9"])
     assert code == 1
     assert "admissible bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_cmd_analyze_weight_rejects_too_few_samples_before_printing(samples, capsys):
+    code = main(
+        ["analyze-weight", "--p", "2", "--eps", "0.3", "--m", "1", "--samples", samples]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no header
+    assert captured.err.startswith("error: --samples must be at least 1")
 
 
 def test_cmd_convergence_table(tmp_path, capsys):

@@ -1,4 +1,7 @@
+import gc
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -294,6 +297,29 @@ def test_run_records_do_not_depend_on_the_block_length(cells, monkeypatch):
     by_seven = run(config)
     assert len(by_one.records) == 201
     assert repr(by_seven.records) == repr(by_one.records)
+
+
+def test_record_copies_no_field_of_a_lone_sample():
+    # 32^3 upwind: a lone sample's stacks are views of its fields, so what
+    # record allocates is its temporaries: one face difference at a time,
+    # and the weighted value's chi*w, phi and u^p.
+    config = replace(
+        reference_scenario((32, 32, 32), t_end=0.005, scheme="upwind"),
+        output_every=5e-4,
+    )
+    result = run(config)
+    state, ctx = result.final_state, result.context
+    assert ctx.weight is not None
+    for context, bound in ((ctx, 3.5), (replace(ctx, weight=None), 2.0)):
+        record(state, context, None)  # warm-up
+        gc.collect()
+        tracemalloc.start()
+        try:
+            record(state, context, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * state.u.nbytes
 
 
 def test_run_ending_early_mid_block_keeps_every_good_sample(monkeypatch):

@@ -728,7 +728,7 @@ def test_run_peak_memory_stays_within_its_peak_before_the_workspace():
         reference_scenario((32, 32, 32), t_end=0.005, scheme="upwind"),
         output_every=5e-4,
     )
-    run(config)  # fills the caches of the DCT bases and eigenvalues
+    run(config)  # warm-up; the DCT bases are built per run, not cached
     gc.collect()
     tracemalloc.start()
     try:
