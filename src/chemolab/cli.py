@@ -24,8 +24,8 @@ from .config import ConfigError, config_digest, parse_config
 from .convergence import refinement_study
 from .diagnostics import RECORD_FIELDS, DiagnosticsRecord, verify_run
 from .model import threshold_check, write_field_raw
-from .solver import RunResult, SolverError, run
-from .weight import epsilon_for_threshold, make_weight, p_for_equality
+from .solver import RunResult, SolverError, run, threshold_weight
+from .weight import make_weight
 
 __all__ = ["main", "write_diagnostics_csv"]
 
@@ -84,24 +84,22 @@ def _write_snapshot(result: RunResult, outdir: Path) -> list[str]:
 
 
 def cmd_run(args) -> int:
+    """Write every output file first and print afterwards, so a closed
+    stdout cannot cost the run its outputs."""
     config = parse_config(args.config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     started = _now()
 
-    def say(msg: str) -> None:
-        if not args.quiet:
-            print(msg)
-
     result = run(config)
     advisory = threshold_check(config.params, result.context.w0_max, config.grid.dim)
-    say(
+    lines = [
         f"threshold advisory: max(m1, m2) = {max(advisory.m1, advisory.m2):.6g} "
         f"vs bound {advisory.bound:.6g} -> "
         f"{'within' if advisory.within else 'ABOVE (run proceeds anyway)'}"
-    )
+    ]
     if result.context.weight_note:
-        say(f"weight note: {result.context.weight_note}")
+        lines.append(f"weight note: {result.context.weight_note}")
 
     files = []
     write_diagnostics_csv(result.records, outdir / "diagnostics.csv")
@@ -124,18 +122,20 @@ def cmd_run(args) -> int:
         files.append("verification.json")
         manifest["checks_passed"] = report.passed
         for check in report:
-            say(
+            lines.append(
                 f"check {check.name}: {'pass' if check.passed else 'FAIL'} "
                 f"(value {check.value:.6g}, threshold {check.threshold:.6g})"
             )
         code = 0 if report.passed else 2
     else:
         manifest[result.outcome] = result.failure.to_dict()
-        say(f"run ended early ({result.outcome}): {result.failure}")
+        lines.append(f"run ended early ({result.outcome}): {result.failure}")
         code = 3
     manifest["finished"] = _now()
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    say(f"outputs in {outdir}")
+    lines.append(f"outputs in {outdir}")
+    if not args.quiet:
+        print("\n".join(lines))
     return code
 
 
@@ -156,15 +156,14 @@ def cmd_threshold(args) -> int:
     ]
     if not report.within:
         rows.append(("construction", "n/a (above threshold)"))
-    elif m == 0.0:
-        rows.append(("eps", f"{epsilon_for_threshold(0.0, args.n):.12g}"))
-        rows.append(("p", "n/a (zero signal amplitude)"))
-    else:
-        eps = epsilon_for_threshold(m, args.n)
-        p = p_for_equality(m, eps)
-        rows.append(("eps", f"{eps:.12g}"))
-        rows.append(("p", f"{p:.12g}"))
-        rows.append(("p > n/2", "yes" if p > args.n / 2.0 else "no"))
+    else:  # the weight a run with this amplitude uses, or its note
+        weight, note = threshold_weight(m, args.n)
+        if weight is not None:
+            rows.append(("eps", f"{weight.eps:.12g}"))
+            rows.append(("p", f"{weight.p:.12g}"))
+            rows.append(("p > n/2", "yes" if weight.p > args.n / 2.0 else "no"))
+        if note:
+            rows.append(("weight note", note))
     width = max(len(label) for label, _ in rows)
     for label, value in rows:
         print(f"{label:<{width}} : {value}")
@@ -204,11 +203,11 @@ def cmd_convergence(args) -> int:
     for name in ("u", "v", "w"):
         header += f" {'err_' + name:>12} {'ord_' + name:>8}"
     print(header)
-    for level in study.levels:
-        row = f"{'x'.join(str(m) for m in level.cells):>14}"
+    for i, cells in enumerate(study.cells):
+        row = f"{'x'.join(str(m) for m in cells):>14}"
         for name in ("u", "v", "w"):
-            err = f"{level.errors[name]:.4e}" if level.errors else "-"
-            order = f"{level.orders[name]:.3f}" if level.orders else "-"
+            err = f"{study.errors[i][name]:.4e}" if i < len(study.errors) else "-"
+            order = f"{study.orders[i][name]:.3f}" if i < len(study.orders) else "-"
             row += f" {err:>12} {order:>8}"
         print(row)
     print(f"observed order (u) = {study.observed_order('u'):.3f}")

@@ -206,9 +206,9 @@ def parse_config(path) -> ScenarioConfig:
         grid = Grid(**values["grid"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
-    dim = root["grid"].get("dim", grid.dim)
+    dim = _number(root["grid"], "dim", "grid") if "dim" in root["grid"] else grid.dim
     if dim != grid.dim:
-        raise ConfigError(f"grid.dim = {dim} contradicts {grid.dim}-axis lengths/cells")
+        raise ConfigError(f"grid.dim = {dim:g} contradicts {grid.dim}-axis lengths/cells")
 
     i = _require_table(root["initial"], "initial")
     _reject_unknown(i, {"u", "v", "w"}, "initial")

@@ -1,8 +1,10 @@
 """Grid-refinement and time-step self-convergence studies.
 
-Cell averages nest exactly under 2x refinement of a box mesh, so solutions
-on finer grids restrict onto the base grid by block averaging and observed
-orders come out of successive restricted differences.
+Both studies run a list of configs to the same t_end, restrict every final
+state onto the base grid and take per-field L2 distances between
+consecutive runs.  Cell averages nest exactly under 2x refinement of a box
+mesh, so a finer solution restricts onto the base grid by block averaging,
+and observed orders come out of successive distances.
 """
 
 from __future__ import annotations
@@ -15,11 +17,9 @@ import numpy as np
 from .model import Grid, ScenarioConfig
 from .solver import SolverError, run
 
-__all__ = ["RefinementLevel", "RefinementStudy", "refinement_study", "time_order_study"]
+__all__ = ["RefinementStudy", "self_differences", "refinement_study", "time_order_study"]
 
-
-def _refined(grid: Grid, factor: int) -> Grid:
-    return Grid(lengths=grid.lengths, cells=tuple(m * factor for m in grid.cells))
+FIELDS = ("u", "v", "w")
 
 
 def _restrict(field: np.ndarray, factor: int) -> np.ndarray:
@@ -34,89 +34,69 @@ def _restrict(field: np.ndarray, factor: int) -> np.ndarray:
     return out
 
 
-FIELDS = ("u", "v", "w")
+def self_differences(
+    runs: list[tuple[str, ScenarioConfig]], base: Grid
+) -> list[dict[str, float]]:
+    """Per-field L2 distances on ``base`` between the final states of
+    consecutive runs.
 
+    Each labelled config runs as given, and its final state is restricted
+    onto ``base`` by the ratio of the two grids' cell counts.  Raises
+    :class:`SolverError` naming the label and the outcome when a run ends
+    early.
+    """
+    finals = []
+    for label, config in runs:
+        result = run(config)
+        if result.failure is not None:
+            raise SolverError(f"{label} ended early ({result.outcome}): {result.failure}")
+        factor = config.grid.cells[0] // base.cells[0]
+        fs = result.final_state
+        finals.append([_restrict(f, factor) for f in (fs.u, fs.v, fs.w)])
 
-def _l2(diff: np.ndarray, grid: Grid) -> float:
-    return math.sqrt(grid.volume_element * float(np.sum(diff * diff)))
+    def l2(diff: np.ndarray) -> float:
+        return math.sqrt(base.volume_element * float(np.sum(diff * diff)))
 
-
-def _final_fields(config: ScenarioConfig, what: str) -> tuple[np.ndarray, ...]:
-    """(u, v, w) at t_end; raises :class:`SolverError` naming ``what`` and
-    the outcome when the run ends early."""
-    result = run(config)
-    if result.failure is not None:
-        raise SolverError(f"{what} ended early ({result.outcome}): {result.failure}")
-    fs = result.final_state
-    return fs.u, fs.v, fs.w
-
-
-@dataclass(frozen=True)
-class RefinementLevel:
-    cells: tuple[int, ...]
-    errors: dict[str, float] | None  # per-field L2 distance to the next finer level
-    orders: dict[str, float] | None  # per-field log2 ratio of successive errors
+    return [
+        {name: l2(a - b) for name, a, b in zip(FIELDS, earlier, later)}
+        for earlier, later in zip(finals, finals[1:])
+    ]
 
 
 @dataclass(frozen=True)
 class RefinementStudy:
-    levels: tuple[RefinementLevel, ...]
+    cells: tuple[tuple[int, ...], ...]  # per level, coarsest first
+    errors: tuple[dict[str, float], ...]  # per field, level i against level i+1
+    orders: tuple[dict[str, float], ...]  # per field, log2 of errors[i] / errors[i+1]
 
     def observed_order(self, field: str = "u") -> float:
         """Smallest per-level order for one field; u is the headline field
         since its transport carries the scheme under study."""
-        orders = [lv.orders[field] for lv in self.levels if lv.orders is not None]
-        if not orders:
-            raise ValueError("need at least 3 refinement levels for an order")
-        return min(orders)
+        return min(order[field] for order in self.orders)
 
 
 def refinement_study(config: ScenarioConfig, levels: int = 3) -> RefinementStudy:
     """Self-convergence under spatial refinement at fixed t_end.
 
     Runs the scenario on the config grid and on (levels-1) successive 2x
-    refinements, restricts every final state onto the base grid and reports
-    per-field distances between consecutive levels and their observed
-    orders.
+    refinements and reports the per-field distances between consecutive
+    levels and their observed orders.  An order needs three levels.
     """
-    if levels < 2:
-        raise ValueError("need at least 2 refinement levels")
+    if levels < 3:
+        raise ValueError(f"need at least 3 refinement levels for an order, got {levels}")
     base = config.grid
-    restricted = []
-    cells_per_level = []
-    for lvl in range(levels):
-        factor = 2**lvl
-        cfg = replace(
-            config,
-            grid=_refined(base, factor),
-            output_every=config.t_end,  # endpoints only; diagnostics not needed
-        )
-        finals = _final_fields(cfg, f"refinement level {cfg.grid.cells}")
-        restricted.append(tuple(_restrict(f, factor) for f in finals))
-        cells_per_level.append(cfg.grid.cells)
-
-    errors = [
-        {
-            name: _l2(restricted[i][k] - restricted[i + 1][k], base)
-            for k, name in enumerate(FIELDS)
-        }
-        for i in range(levels - 1)
+    cells = tuple(tuple(m * 2**k for m in base.cells) for k in range(levels))
+    runs = [  # sampled at the endpoints only: no diagnostics are needed
+        (f"refinement level {level}",
+         replace(config, grid=Grid(base.lengths, level), output_every=config.t_end))
+        for level in cells
     ]
-    rows = []
-    for i in range(levels):
-        errs = errors[i] if i < levels - 1 else None
-        orders = (
-            {
-                name: math.log2(errors[i][name] / errors[i + 1][name])
-                for name in FIELDS
-            }
-            if i < levels - 2
-            else None
-        )
-        rows.append(
-            RefinementLevel(cells=cells_per_level[i], errors=errs, orders=orders)
-        )
-    return RefinementStudy(levels=tuple(rows))
+    errors = self_differences(runs, base)
+    orders = [
+        {name: math.log2(coarse[name] / fine[name]) for name in FIELDS}
+        for coarse, fine in zip(errors, errors[1:])
+    ]
+    return RefinementStudy(cells, tuple(errors), tuple(orders))
 
 
 def time_order_study(config: ScenarioConfig, dt0: float) -> tuple[list[float], float]:
@@ -127,16 +107,13 @@ def time_order_study(config: ScenarioConfig, dt0: float) -> tuple[list[float], f
     returns the two successive solution differences plus the observed
     order, which is 2 for the Strang-split step.
     """
-    finals = []
+    runs = []
     for divisor in (1, 2, 4):
         options = replace(config.options, dt_max=dt0 / divisor)
-        cfg = replace(config, options=options, output_every=config.t_end)
-        finals.append(_final_fields(cfg, f"time-order run at dt {cfg.options.dt_max}"))
-
-    def state_diff(a, b):
-        return math.sqrt(
-            sum(_l2(fa - fb, config.grid) ** 2 for fa, fb in zip(a, b))
-        )
-
-    diffs = [state_diff(finals[0], finals[1]), state_diff(finals[1], finals[2])]
+        runs.append((f"time-order run at dt {options.dt_max}",
+                     replace(config, options=options, output_every=config.t_end)))
+    diffs = [
+        math.sqrt(sum(d**2 for d in dist.values()))
+        for dist in self_differences(runs, config.grid)
+    ]
     return diffs, math.log2(diffs[0] / diffs[1])

@@ -35,6 +35,8 @@ __all__ = [
     "write_field_raw",
 ]
 
+_NORMAL = np.finfo(float).tiny  # the smallest normal float
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -87,6 +89,14 @@ class Grid:
         for m in self.cells:
             if m < 2:
                 raise ValueError(f"need at least 2 cells per axis, got {m}")
+        # the stepper divides by h^2 and the diagnostics by cell and box volumes
+        if min(h * h for h in self.spacing) < _NORMAL or self.volume_element < _NORMAL:
+            raise ValueError(
+                f"grid.lengths {self.lengths}: h*h or the cell volume is below the "
+                "smallest normal float"
+            )
+        if not math.isfinite(self.volume):
+            raise ValueError(f"grid.lengths {self.lengths}: the box volume overflows")
 
     @property
     def dim(self) -> int:

@@ -73,6 +73,7 @@ __all__ = [
     "stable_dt",
     "step",
     "run",
+    "threshold_weight",
 ]
 
 _DT_FLOOR = 1e-15
@@ -541,10 +542,17 @@ def _resolve_weight(
                 f"weight.p = {config.weight_p} and weight.eps = {config.weight_eps} "
                 f"cannot cover the signal amplitude max(chi1, chi2) * ||w0||_inf: {exc}"
             ) from None
+    return threshold_weight(m, config.grid.dim)
+
+
+def threshold_weight(m: float, n: int) -> tuple[WeightFunction | None, str]:
+    """The threshold construction's weight for amplitude m in n dimensions,
+    and a note for the reader: the degenerate p = 2 weight at m = 0, or
+    None and why when no (eps, p) can be built."""
     if m == 0.0:
         return make_weight(2.0, 0.5, 0.0), "degenerate zero-signal weight (p=2)"
     try:
-        eps = epsilon_for_threshold(m, config.grid.dim)
+        eps = epsilon_for_threshold(m, n)
         p = p_for_equality(m, eps)
         return make_weight(p, eps, m), ""
     except ValueError as exc:

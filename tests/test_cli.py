@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -113,13 +114,25 @@ def test_parse_rejects_fractional_cell_counts(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key, entries", [("lengths", [True, 1.0]), ("cells", ["8", 8]), ("cells", [8, False])]
+    "key, entries",
+    [
+        ("lengths", [True, 1.0]),
+        ("cells", ["8", 8]),
+        ("cells", [8, False]),
+        ("dim", True),
+        ("dim", "1"),
+    ],
 )
 def test_parse_rejects_bool_and_string_grid_entries(tmp_path, key, entries):
     bad = minimal_config()
     bad["grid"][key] = entries
-    with pytest.raises(ConfigError, match=f"grid.{key} must be a list of numbers"):
+    what = "a number" if key == "dim" else "a list of numbers"
+    with pytest.raises(ConfigError, match=f"grid.{key} must be {what}"):
         parse_config(write_config(tmp_path, bad))
+    if key == "dim":  # a whole number still parses, as an int or a float
+        for dim in (2, 2.0):
+            bad["grid"]["dim"] = dim
+            assert parse_config(write_config(tmp_path, bad)).grid.dim == 2
 
 
 def test_parse_weight_group(tmp_path):
@@ -541,6 +554,51 @@ def test_cmd_run_rejects_an_unusable_value_before_running(tmp_path, capsys, key,
     assert not (out / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "lengths, cells",
+    [
+        ([1e-200], [16]),  # h*h underflows to 0
+        ([1e-160], [4]),  # h*h is subnormal
+        ([1e-120] * 3, [4] * 3),  # the cell volume underflows to 0
+        ([1e200, 1e200], [4, 4]),  # the box volume overflows
+    ],
+)
+def test_cmd_run_rejects_a_box_beyond_float_range_before_running(
+    tmp_path, capsys, lengths, cells
+):
+    cfg_path = write_config(tmp_path, minimal_config(grid={"lengths": lengths, "cells": cells}))
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: grid: grid.lengths ")
+    assert not (out / "diagnostics.csv").exists()
+
+
+def test_grid_keeps_boxes_within_float_range():
+    assert Grid(lengths=(1e-150,), cells=(16,)).volume_element > 0.0
+    assert Grid(lengths=(1e200,), cells=(16,)).volume == 1e200
+
+
+def test_cmd_run_writes_every_file_before_printing(tmp_path, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    cfg_path = write_config(tmp_path, minimal_config())
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outcome"] == "completed"
+    written = ["diagnostics.csv", "final_u.raw", "final_v.raw", "final_w.raw",
+               "final_state.json", "verification.json"]
+    assert manifest["files"] == written
+    assert sorted(p.name for p in out.iterdir()) == sorted(written + ["manifest.json"])
+
+
 def test_cmd_run_missing_config_exits_one(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.json")])
     assert code == 1
@@ -576,6 +634,23 @@ def test_cmd_threshold_above(capsys):
     out = capsys.readouterr().out
     assert "no" in out
     assert "above threshold" in out
+
+
+@pytest.mark.parametrize("w0max", [0.0, 1e-170, 0.5])
+def test_cmd_threshold_reports_the_weight_a_run_uses(tmp_path, capsys, w0max):
+    code = main(["threshold", "--n", "2", "--chi1", "1", "--chi2", "1", "--w0max", repr(w0max)])
+    assert code == 0
+    rows = dict(line.split(" : ", 1) for line in capsys.readouterr().out.splitlines())
+    rows = {label.rstrip(): value for label, value in rows.items()}
+    cfg = minimal_config()
+    cfg["initial"]["w"] = {"kind": "constant", "value": w0max}
+    ctx = run(parse_config(write_config(tmp_path, cfg))).context
+    if ctx.weight is None:
+        assert "eps" not in rows and "p" not in rows
+    else:
+        assert float(rows["eps"]) == pytest.approx(ctx.weight.eps, rel=1e-11)
+        assert float(rows["p"]) == pytest.approx(ctx.weight.p, rel=1e-11)
+    assert rows.get("weight note", "") == ctx.weight_note
 
 
 @pytest.mark.parametrize("w0max", ["nan", "inf"])
