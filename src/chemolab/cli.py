@@ -10,8 +10,10 @@ stalled step; the manifest holds the failure under the outcome's name),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import operator
+import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -112,6 +114,8 @@ def cmd_run(args) -> int:
         "started": started,
         "outcome": result.outcome,
         "steps": result.steps,
+        "threshold": asdict(advisory),
+        "weight_note": result.context.weight_note,
         "files": files,
     }
     if result.failure is None:
@@ -256,11 +260,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, not at exit, where a closed pipe is exit 120
+        return code
     except (ConfigError, SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):  # send what is still buffered nowhere
+            with contextlib.suppress(AttributeError, OSError):  # stdout has no descriptor
+                stdout = sys.stdout.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
         print(f"I/O error: {exc}", file=sys.stderr)
         return 1
 

@@ -207,10 +207,14 @@ class GaussianInit:
             raise ValueError("gaussian center must give one coordinate per axis")
         if not self.width > 0.0:
             raise ValueError("gaussian width must be positive")
+        try:
+            spread = 2.0 * self.width**2
+        except OverflowError:  # the limit exp(-sq / inf) = 1
+            spread = math.inf
         sq = np.zeros(grid.shape)
         for x, c in zip(grid.center_mesh(), self.center):
             sq = sq + (x - c) ** 2
-        return self.floor + self.amplitude * np.exp(-sq / (2.0 * self.width**2))
+        return self.floor + self.amplitude * np.exp(-sq / spread)
 
 
 @dataclass(frozen=True)

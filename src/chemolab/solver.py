@@ -87,7 +87,8 @@ class SolverError(RuntimeError):
 
     ``outcome`` names the failure in :class:`RunResult` and in a run's
     manifest.  This base class is the stalled step loop, where ``value`` is
-    the step it needed and ``field`` and ``cell`` are None.
+    the step it needed (NaN when the bound is not a number) and ``field``
+    and ``cell`` are None.
     """
 
     outcome = "stalled"
@@ -163,14 +164,12 @@ def rhs(
     """
     fields = np.concatenate((state.u, state.v, state.w)).reshape((3,) + grid.shape)
     out = np.zeros_like(fields)
-    dim = grid.dim
-    for axis, h in enumerate(grid.spacing):
-        lo, hi = _lo(axis + 1, dim + 1), _hi(axis + 1, dim + 1)
-        flux = fields[hi] - fields[lo]
-        flux /= h * h
-        out[lo] += flux
-        out[hi] -= flux
     ws = _workspace(grid)
+    for face in ws.faces:
+        flux = fields[face.hi2] - fields[face.lo2]
+        flux /= face.h2
+        out[face.lo2] += flux
+        out[face.hi2] -= flux
     ws.transport(fields[:2], fields[2], out[:2], 1.0, params, scheme.advection)
     out[2] -= (params.alpha * state.u + params.beta * state.v) * state.w
     return out[0], out[1], out[2]
@@ -230,12 +229,10 @@ class _Workspace:
       :class:`_Face`: the face slices, the views of ``rate`` and the
       face buffers;
     * one set of face buffers, sized for the axis with the most faces and
-      shared by all axes: the signal difference ``dw``, the upwind mask
-      ``up`` (dw > 0) and the flux of both species, whose first row also
-      holds |dw| while :meth:`face_rate` sums it, and ``chi_scale``, each
-      species' chi times dt / h^2 for the face :meth:`transport` is on.  A
-      method that reads them fills them first, so no call depends on what
-      an earlier one left.
+      shared by all axes: the signal difference ``dw`` (|dw| in
+      :meth:`face_rate`), the upwind mask ``up`` (dw > 0) and the flux of
+      both species.  A method that reads them fills them first, so no call
+      depends on what an earlier one left.
 
     The methods work in place on a stacked (3, *grid.shape) array of u, v
     and w.  :func:`step` makes that array fresh every step, because it is
@@ -272,10 +269,6 @@ class _Workspace:
                   for axis in range(dim)]
         most = max(math.prod(shape) for shape in shapes)
         dw, up, flux = np.empty(most), np.empty(most, bool), np.empty(2 * most)
-        # chi_i dt / h^2 per species, set by transport for each face; ``scale`` is
-        # its view that broadcasts over a face (1-D scalar writes are ~5x faster)
-        self.chi_scale = np.empty(2)
-        self.scale = self.chi_scale.reshape((2,) + (1,) * dim)
         self.faces = []
         for axis, (shape, h) in enumerate(zip(shapes, grid.spacing)):
             face, n = _Face(), math.prod(shape)
@@ -363,7 +356,7 @@ class _Workspace:
         the cell's faces, to ``rate`` and return it: the one bound behind
         :func:`stable_dt` and the chemotaxis substeps."""
         for face in self.faces:
-            rate = face.flux[0]
+            rate = face.dw
             np.subtract(w[face.hi], w[face.lo], out=rate)
             np.abs(rate, out=rate)
             rate *= chi / face.h2
@@ -377,17 +370,17 @@ class _Workspace:
     ) -> None:
         """Add dt times the chemotaxis term -div(chi d grad w) of the stacked
         densities ``dens`` (species first) to ``out`` (dt = 1 in :func:`rhs`)."""
-        upwind, chi_scale, scale = scheme == "upwind", self.chi_scale, self.scale
+        upwind = scheme == "upwind"
         for face in self.faces:
             tau = dt / face.h2
-            chi_scale[0], chi_scale[1] = params.chi1 * tau, params.chi2 * tau
             np.subtract(w[face.hi], w[face.lo], out=face.dw)
             if upwind:
                 np.greater(face.dw, 0.0, out=face.up)
             lo, hi = face.lo2, face.hi2
             flux = _face_density(dens[lo], dens[hi], face.up, scheme, face.flux)
             flux *= face.dw
-            flux *= scale
+            flux[0] *= params.chi1 * tau
+            flux[1] *= params.chi2 * tau
             out_lo, out_hi = out[lo], out[hi]
             out_lo -= flux
             out_hi += flux
@@ -611,11 +604,11 @@ def run(config: ScenarioConfig) -> RunResult:
                 target = t_end
             while state.t < target:
                 dt_stable = stable_dt(state, params, grid, opts)
-                if dt_stable < _DT_FLOOR:
+                if not dt_stable >= _DT_FLOOR:  # NaN: a face rate beyond float range
+                    why = ("the step bound is not a number" if math.isnan(dt_stable)
+                           else f"stability requires dt < {_DT_FLOOR}")
                     raise SolverError(
-                        f"stability requires dt < {_DT_FLOOR} at t={state.t}; "
-                        "giving up",
-                        state.t, value=dt_stable,
+                        f"{why} at t={state.t}; giving up", state.t, value=dt_stable
                     )
                 remaining = target - state.t
                 landed = dt_stable >= remaining

@@ -107,7 +107,7 @@ class WeightFunction:
         if not (self.m >= 0.0 and math.isfinite(self.m)):
             raise ValueError(f"m must be a finite real >= 0, got {self.m}")
         bound = admissible_bound(self.p, self.eps)
-        if self.m >= bound - _BOUNDARY_MARGIN * max(1.0, bound):
+        if self.m >= bound - _BOUNDARY_MARGIN * bound:
             raise ValueError(
                 f"amplitude m={self.m} reaches the admissible bound "
                 f"{bound} for p={self.p}, eps={self.eps}"

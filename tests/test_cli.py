@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -310,7 +312,7 @@ def test_cmd_run_zero_signal_passes_the_decay_check(tmp_path):
     assert decay["passed"] and "identically zero" in decay["detail"]
 
 
-@pytest.mark.parametrize("w0", [1e-150, 1e-160, 1e-170, 1e-300])
+@pytest.mark.parametrize("w0", [1e-160, 1e-170, 1e-300])
 def test_cmd_run_tiny_signal_runs_without_a_weight(tmp_path, capsys, w0):
     # the threshold construction's p is not a usable float at these
     # amplitudes: the run goes on without the weighted L^p column
@@ -323,6 +325,22 @@ def test_cmd_run_tiny_signal_runs_without_a_weight(tmp_path, capsys, w0):
     records = read_diagnostics_csv(out / "diagnostics.csv")
     assert all(rec.lyapunov is None for rec in records)
     assert "weight note: weight construction unavailable" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("w0", [1e-150])
+def test_cmd_run_tiny_signal_gets_a_weight(tmp_path, capsys, w0):
+    # p ~ 3.1e150 from the threshold construction, below the largest p the
+    # weight takes
+    cfg = minimal_config(grid={"lengths": [1.0], "cells": [8]})
+    cfg["initial"]["w"]["value"] = w0
+    cfg_path, out = write_config(tmp_path, cfg), tmp_path / "out"
+    code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert code in (0, 2)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outcome"] == "completed" and manifest["weight_note"] == ""
+    records = read_diagnostics_csv(out / "diagnostics.csv")
+    assert all(rec.lyapunov is not None for rec in records)
+    assert "weight note" not in capsys.readouterr().out
 
 
 def test_cmd_run_snapshot_is_restart_capable(tmp_path):
@@ -442,6 +460,60 @@ def test_cmd_run_stalled_step_exits_three(tmp_path, capsys):
     assert 0.0 < manifest["stalled"]["value"] < 1e-15
     assert not (out / "verification.json").exists()
     assert "run ended early (stalled)" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "chi1, lengths", [(1e6, [1e-150]), (1e308, [1.0])], ids=["tiny_box", "huge_chi"]
+)
+def test_cmd_run_step_bound_that_is_not_a_number_stalls(tmp_path, capsys, chi1, lengths):
+    # chi1 / h^2 overflows, and a flat face gives 0 * inf = NaN
+    cfg = minimal_config(grid={"lengths": lengths, "cells": [16]})
+    cfg["params"]["chi1"] = chi1
+    out = tmp_path / "nan"
+    code = main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outcome"] == "stalled" and manifest["steps"] == 0
+    assert math.isnan(manifest["stalled"]["value"])
+    assert sorted(p.name for p in out.iterdir()) == sorted(manifest["files"] + ["manifest.json"])
+    assert "diagnostics.csv" in manifest["files"] and "final_state.json" in manifest["files"]
+    printed = capsys.readouterr().out
+    assert "run ended early (stalled): the step bound is not a number" in printed
+    assert "stability requires" not in printed
+
+
+def test_cmd_run_with_a_gaussian_wider_than_float_range(tmp_path):
+    cfg = minimal_config(grid={"lengths": [1.0], "cells": [16]})
+    cfg["initial"]["u"] = {
+        "kind": "gaussian", "center": [0.5], "width": 1e200, "amplitude": 1.0, "floor": 0.5,
+    }
+    out = tmp_path / "wide"
+    code = main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--quiet"])
+    assert code in (0, 2)
+    assert json.loads((out / "manifest.json").read_text())["outcome"] == "completed"
+
+
+@pytest.mark.parametrize("w0, within", [(0.5, True), (5.0, False)], ids=["within", "above"])
+def test_cmd_run_manifest_holds_the_threshold_advisory_and_weight_note(
+    tmp_path, capsys, w0, within
+):
+    cfg = minimal_config()
+    cfg["initial"]["w"]["value"] = w0
+    cfg["params"]["chi2"] = 0.5
+    out = tmp_path / "out"
+    main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    printed = capsys.readouterr().out.splitlines()
+    manifest = json.loads((out / "manifest.json").read_text())
+    advisory = manifest["threshold"]
+    assert advisory == {"m1": w0, "m2": 0.5 * w0, "bound": math.pi, "within": within}
+    assert printed[0] == (
+        f"threshold advisory: max(m1, m2) = {advisory['m1']:.6g} vs bound "
+        f"{advisory['bound']:.6g} -> {'within' if within else 'ABOVE (run proceeds anyway)'}"
+    )
+    notes = [line.removeprefix("weight note: ") for line in printed if line.startswith("weight note: ")]
+    assert notes == ([manifest["weight_note"]] if manifest["weight_note"] else [])
+    assert (manifest["weight_note"] == "") == within
 
 
 def test_cmd_run_lyapunov_beyond_float_range_is_an_empty_cell(tmp_path):
@@ -599,6 +671,33 @@ def test_cmd_run_writes_every_file_before_printing(tmp_path, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == sorted(written + ["manifest.json"])
 
 
+@pytest.mark.parametrize("command", ["run", "threshold"])
+def test_closed_block_buffered_stdout_exits_one(tmp_path, command):
+    # stdout is a pipe nobody reads, buffered until the interpreter exits
+    # unless main flushes it first
+    if command == "run":
+        argv = ["run", "--config", str(write_config(tmp_path, minimal_config())),
+                "--out", str(tmp_path / "out")]
+    else:
+        argv = ["threshold", "--n", "2", "--chi1", "1", "--chi2", "1", "--w0max", "0.5"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if "PYTHONPATH" in env else "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "chemolab.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == "I/O error: [Errno 32] Broken pipe\n"
+    if command == "run":
+        assert len(list((tmp_path / "out").iterdir())) == 7
+
+
 def test_cmd_run_missing_config_exits_one(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.json")])
     assert code == 1
@@ -651,6 +750,16 @@ def test_cmd_threshold_reports_the_weight_a_run_uses(tmp_path, capsys, w0max):
         assert float(rows["eps"]) == pytest.approx(ctx.weight.eps, rel=1e-11)
         assert float(rows["p"]) == pytest.approx(ctx.weight.p, rel=1e-11)
     assert rows.get("weight note", "") == ctx.weight_note
+
+
+def test_cmd_threshold_builds_a_weight_below_a_unit_bound(capsys):
+    code = main(["threshold", "--n", "2", "--chi1", "1", "--chi2", "1", "--w0max", "1e-20"])
+    assert code == 0
+    rows = dict(line.split(" : ", 1) for line in capsys.readouterr().out.splitlines())
+    rows = {label.rstrip(): value for label, value in rows.items()}
+    assert float(rows["eps"]) == 0.5
+    assert float(rows["p"]) == pytest.approx(math.pi * 1e20, rel=1e-11)
+    assert "weight note" not in rows
 
 
 @pytest.mark.parametrize("w0max", ["nan", "inf"])

@@ -177,6 +177,18 @@ def test_initializers_sample_cell_centers():
     )
 
 
+def test_gaussian_wider_than_float_range_is_flat():
+    g = Grid(lengths=(1.0, 2.0), cells=(8, 4))
+    x, y = g.center_mesh()
+    wide = GaussianInit(center=(0.5, 1.0), width=1e100, amplitude=2.0, floor=0.1)
+    sq = (x - 0.5) ** 2 + (y - 1.0) ** 2
+    assert np.array_equal(wide.sample(g), 0.1 + 2.0 * np.exp(-sq / (2.0 * 1e100**2)))
+    # width**2 overflows: the limit exp(-0) = 1
+    for width in (1e200, 1e308):
+        flat = GaussianInit(center=(0.5, 1.0), width=width, amplitude=2.0, floor=0.1)
+        assert np.all(flat.sample(g) == 0.1 + 2.0)
+
+
 def test_raw_field_round_trip_pins_layout(tmp_path):
     # x must vary fastest in the byte stream
     g = Grid(lengths=(1.0, 1.0), cells=(3, 2))

@@ -683,6 +683,36 @@ def test_step_reads_its_input_and_returns_fresh_arrays(opts):
         assert not any(np.shares_memory(x, y) for x in a for y in b)
 
 
+def _poison(ws):
+    """Fill every buffer a call must fill before it reads; ``decay`` is a
+    cache keyed by its tau and stays."""
+    ws.scratch.fill(np.nan)
+    ws.mean.fill(np.nan)
+    for face in ws.faces:
+        face.dw.fill(np.nan)
+        face.flux.fill(np.nan)
+        face.up.fill(True)
+
+
+@pytest.mark.parametrize("opts", [CENTRAL, UPWIND], ids=["central", "upwind"])
+@pytest.mark.parametrize("cells", [(64,), (12, 9), (6, 5, 4)])
+def test_no_call_reads_what_an_earlier_one_left_in_the_workspace(monkeypatch, cells, opts):
+    config = reference_scenario(cells, scheme=opts.advection)
+    grid, params = config.grid, config.params
+    state = State(0.0, *config.initial.build(grid))
+    dt = stable_dt(state, params, grid, opts)
+    calls = {
+        "stable_dt": lambda: np.float64(stable_dt(state, params, grid, opts)).tobytes(),
+        "step": lambda: _fields(step(state, dt, params, grid, opts)),
+        "rhs": lambda: [a.tobytes() for a in rhs(state, params, grid, opts)],
+    }
+    monkeypatch.setattr(solver._local, "workspace", None)
+    fresh = {name: call() for name, call in calls.items()}  # before any poison
+    for name, call in calls.items():
+        _poison(solver._workspace(grid))
+        assert call() == fresh[name], name
+
+
 def test_concurrent_runs_match_runs_one_after_the_other():
     # more threads than cores, on different grids and schemes; two of them
     # on one grid, where a shared workspace would mix their fields

@@ -107,6 +107,16 @@ def test_make_weight_accepts_and_rejects():
         WeightFunction(2.0, 0.3, 1.83)
 
 
+def test_make_weight_margin_is_relative_below_a_unit_bound():
+    # the large p of a tiny signal amplitude puts the bound far below 1
+    p, eps = 1e40, 0.5
+    bound = admissible_bound(p, eps)
+    assert bound < 1e-19
+    assert make_weight(p, eps, bound * (2.0 / 3.0)).m == bound * (2.0 / 3.0)
+    with pytest.raises(ValueError, match="reaches the admissible bound"):
+        make_weight(p, eps, bound * (1.0 - 1e-15))
+
+
 def test_make_weight_degenerate_m_zero():
     wf = make_weight(2.0, 0.3, 0.0)
     assert wf.phi(0.0) == 1.0
