@@ -61,6 +61,13 @@ def read_diagnostics_csv(path) -> list[DiagnosticsRecord]:
     return out
 
 
+def _write_json(obj, path) -> None:
+    """Strict JSON: a non-finite float is written as null, not as a bare NaN
+    or Infinity token, which strict readers refuse."""
+    plain = json.loads(json.dumps(obj), parse_constant=lambda token: None)
+    Path(path).write_text(json.dumps(plain, indent=2, allow_nan=False) + "\n")
+
+
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -80,7 +87,7 @@ def _write_snapshot(result: RunResult, outdir: Path) -> list[str]:
         "params": asdict(ctx.params),
         "fields": {name: f"final_{name}.raw" for name in ("u", "v", "w")},
     }
-    (outdir / "final_state.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    _write_json(sidecar, outdir / "final_state.json")
     files.append("final_state.json")
     return files
 
@@ -108,21 +115,20 @@ def cmd_run(args) -> int:
     files.append("diagnostics.csv")
     files.extend(_write_snapshot(result, outdir))
 
+    # which verdicts rest on the paper's theorem, and why a weight is missing
+    about = {"threshold": asdict(advisory), "weight_note": result.context.weight_note}
     manifest = {
         "config_digest": config_digest(config),
         "tool_version": __version__,
         "started": started,
         "outcome": result.outcome,
         "steps": result.steps,
-        "threshold": asdict(advisory),
-        "weight_note": result.context.weight_note,
+        **about,
         "files": files,
     }
     if result.failure is None:
         report = verify_run(result.records, result.context)
-        (outdir / "verification.json").write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n"
-        )
+        _write_json(report.to_dict() | about, outdir / "verification.json")
         files.append("verification.json")
         manifest["checks_passed"] = report.passed
         for check in report:
@@ -136,7 +142,7 @@ def cmd_run(args) -> int:
         lines.append(f"run ended early ({result.outcome}): {result.failure}")
         code = 3
     manifest["finished"] = _now()
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    _write_json(manifest, outdir / "manifest.json")
     lines.append(f"outputs in {outdir}")
     if not args.quiet:
         print("\n".join(lines))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import MISSING, fields
 from operator import attrgetter
 from pathlib import Path
@@ -56,90 +56,68 @@ def _reject_unknown(table: dict, allowed: set[str], path: str) -> None:
             raise ConfigError(f"unknown key {path}.{key}" if path else f"unknown key {key}")
 
 
-# (section, key) -> ScenarioConfig attribute, dotted for params, grid and
-# options.  Defaults live in the class that holds the value; the keys listed
-# in _OPTIONAL may be left out, every other key of a section that is present
-# is required.
+# (section, key) -> (the ScenarioConfig attribute it sets, dotted for params,
+# grid and options; the shape _read reads; whether a section that is present
+# must hold it).  Defaults live in the class that holds the value.  grid.dim
+# sets nothing: it is only checked against the lengths.
 _SCHEMA = {
-    ("params", "chi1"): "params.chi1",
-    ("params", "chi2"): "params.chi2",
-    ("params", "alpha"): "params.alpha",
-    ("params", "beta"): "params.beta",
-    ("grid", "lengths"): "grid.lengths",
-    ("grid", "cells"): "grid.cells",
-    ("time", "t_end"): "t_end",
-    ("time", "dt_max"): "options.dt_max",
-    ("time", "cfl_safety"): "options.cfl_safety",
-    ("output", "every"): "output_every",
-    ("scheme", "advection"): "options.advection",
-    ("scheme", "blowup_linf"): "options.blowup_linf",
-    ("weight", "p"): "weight_p",
-    ("weight", "eps"): "weight_eps",
-}
-_OPTIONAL = {
-    ("time", "dt_max"),
-    ("time", "cfl_safety"),
-    ("output", "every"),
-    ("scheme", "advection"),
-    ("scheme", "blowup_linf"),
+    ("params", "chi1"): ("params.chi1", "number", True),
+    ("params", "chi2"): ("params.chi2", "number", True),
+    ("params", "alpha"): ("params.alpha", "number", True),
+    ("params", "beta"): ("params.beta", "number", True),
+    ("grid", "lengths"): ("grid.lengths", "numbers", True),
+    ("grid", "cells"): ("grid.cells", "numbers", True),  # Grid checks they are whole
+    ("grid", "dim"): (None, "number", False),
+    ("time", "t_end"): ("t_end", "number", True),
+    ("time", "dt_max"): ("options.dt_max", "number", False),
+    ("time", "cfl_safety"): ("options.cfl_safety", "number", False),
+    ("output", "every"): ("output_every", "number", False),
+    ("scheme", "advection"): ("options.advection", "string", False),
+    ("scheme", "blowup_linf"): ("options.blowup_linf", "number", False),
+    ("weight", "p"): ("weight_p", "number", True),
+    ("weight", "eps"): ("weight_eps", "number", True),
 }
 _SECTIONS = ("params", "grid", "initial", "time", "output", "scheme", "weight")
 _REQUIRED_SECTIONS = ("params", "grid", "initial", "time")
 
 # initial-field kind -> class; a field's keys are the class's fields, and
-# those with a class default are optional.
+# those with a class default are optional.  Every key not in _FIELD_SHAPES,
+# whatever the kind, is a number.
 _KINDS = {
     "constant": ConstantInit,
     "cosine_bump": CosineBumpInit,
     "gaussian": GaussianInit,
     "file": FileInit,
 }
+_FIELD_SHAPES = {"modes": "integers", "center": "numbers", "path": "string"}
 
-
-def _number(table: dict, key: str, path: str) -> float:
-    value = table[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key} must be a number")
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}.{key} must be finite")
-    return float(value)
-
-
-def _typed(kind, what: str):
-    def read(table: dict, key: str, path: str):
-        value = table[key]
-        if not isinstance(value, kind):
-            raise ConfigError(f"{path}.{key} must be {what}")
-        return value
-
-    return read
-
-
-def _typed_list(kind, what: str, cast):
-    def read(table: dict, key: str, path: str) -> tuple:
-        value = table[key]
-        if not isinstance(value, list) or not all(
-            isinstance(x, kind) and not isinstance(x, bool) for x in value
-        ):
-            raise ConfigError(f"{path}.{key} must be a list of {what}")
-        return tuple(cast(x) for x in value)
-
-    return read
-
-
-# Keys that are not plain numbers, by key name; Grid checks the list entries.
-_READERS = {
-    "lengths": _typed_list((int, float), "numbers", float),
-    "cells": _typed_list((int, float), "numbers", lambda m: m),
-    "advection": _typed(str, "a string"),
-    "path": _typed(str, "a string"),
-    "modes": _typed_list(int, "integers", int),
-    "center": _typed_list((int, float), "numbers", float),
+# shape -> (the entry type, float admitting an int; what a value must be; what
+# it must be when a number in it is not finite or is beyond float range)
+_SHAPES = {
+    "number": (float, "a number", "a finite number"),
+    "numbers": (float, "a list of numbers", "a list of finite numbers"),
+    "integers": (int, "a list of integers", "a list of integers within float range"),
+    "string": (str, "a string", None),
 }
 
 
-def _read(table: dict, key: str, path: str):
-    return _READERS.get(key, _number)(table, key, path)
+def _read(table: dict, key: str, path: str, shape: str):
+    """``table[key]`` as a float, a str, or a tuple of numbers.  One rule
+    covers every number, alone or in a list: an int or float, not a bool,
+    finite and within float range.  The classes cast list entries."""
+    kind, what, finite = _SHAPES[shape]
+    value = table[key]
+    listed = shape in ("numbers", "integers")
+    entries = value if listed else [value]
+    kinds = (int, float) if kind is float else kind
+    if not isinstance(entries, list) or not all(
+        isinstance(x, kinds) and not isinstance(x, bool) for x in entries
+    ):
+        raise ConfigError(f"{path}.{key} must be {what}")
+    # exact for an int of any size; False for NaN
+    if kind is not str and not all(abs(x) <= sys.float_info.max for x in entries):
+        raise ConfigError(f"{path}.{key} must be {finite}")
+    return tuple(value) if listed else kind(value)
 
 
 def _parse_field(raw: Any, path: str, config_dir: Path) -> InitialField:
@@ -152,7 +130,8 @@ def _parse_field(raw: Any, path: str, config_dir: Path) -> InitialField:
     kwargs = {}
     for f in fields(cls):
         if f.name in table:
-            kwargs[f.name] = _read(table, f.name, path)
+            shape = _FIELD_SHAPES.get(f.name, "number")
+            kwargs[f.name] = _read(table, f.name, path, shape)
         elif f.default is MISSING:
             raise ConfigError(f"missing key {path}.{f.name}")
     if cls is FileInit:
@@ -184,18 +163,22 @@ def parse_config(path) -> ScenarioConfig:
     # owner ("" for ScenarioConfig itself, "params", "grid", "options")
     # -> {name: value}
     values: dict[str, dict[str, Any]] = {"": {}, "params": {}, "grid": {}, "options": {}}
+    dim = None
     for section in _SECTIONS:
         if section == "initial" or section not in root:
             continue
         table = _require_table(root[section], section)
-        keys = {key for sec, key in _SCHEMA if sec == section}
-        _reject_unknown(table, keys | ({"dim"} if section == "grid" else set()), section)
-        for key in keys:
-            if key in table:
-                owner, _, name = _SCHEMA[section, key].rpartition(".")
-                values[owner][name] = _read(table, key, section)
-            elif (section, key) not in _OPTIONAL:
-                raise ConfigError(f"missing key {section}.{key}")
+        rows = {key: row for (sec, key), row in _SCHEMA.items() if sec == section}
+        _reject_unknown(table, set(rows), section)
+        for key, (attr, shape, required) in rows.items():
+            if key not in table:
+                if required:
+                    raise ConfigError(f"missing key {section}.{key}")
+            elif attr is None:
+                dim = _read(table, key, section, shape)
+            else:
+                owner, _, name = attr.rpartition(".")
+                values[owner][name] = _read(table, key, section, shape)
 
     try:
         params = ModelParams(**values["params"])
@@ -206,8 +189,7 @@ def parse_config(path) -> ScenarioConfig:
         grid = Grid(**values["grid"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
-    dim = _number(root["grid"], "dim", "grid") if "dim" in root["grid"] else grid.dim
-    if dim != grid.dim:
+    if dim is not None and dim != grid.dim:
         raise ConfigError(f"grid.dim = {dim:g} contradicts {grid.dim}-axis lengths/cells")
 
     i = _require_table(root["initial"], "initial")
@@ -241,8 +223,8 @@ def _field_to_dict(field: InitialField) -> dict:
 def config_to_dict(config: ScenarioConfig) -> dict:
     """Fully-resolved plain dict; the canonical form behind the digest."""
     out = {"initial": {n: _field_to_dict(getattr(config.initial, n)) for n in "uvw"}}
-    for (section, key), attr in _SCHEMA.items():
-        if section == "weight" and config.weight_p is None:
+    for (section, key), (attr, _, _) in _SCHEMA.items():
+        if attr is None or (section == "weight" and config.weight_p is None):
             continue
         value = attrgetter(attr)(config)
         out.setdefault(section, {})[key] = (

@@ -7,6 +7,7 @@ marked read-only), so they can be shared across threads without coordination.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Union
@@ -202,6 +203,9 @@ class GaussianInit:
     amplitude: float
     floor: float = 0.0
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+
     def sample(self, grid: Grid) -> np.ndarray:
         if len(self.center) != grid.dim:
             raise ValueError("gaussian center must give one coordinate per axis")
@@ -214,6 +218,9 @@ class GaussianInit:
         sq = np.zeros(grid.shape)
         for x, c in zip(grid.center_mesh(), self.center):
             sq = sq + (x - c) ** 2
+        if float(sq.max()) > spread * sys.float_info.max:
+            # sq / spread overflows: the limit spread -> 0, a spike on the center
+            return self.floor + self.amplitude * (sq == 0.0)
         return self.floor + self.amplitude * np.exp(-sq / spread)
 
 

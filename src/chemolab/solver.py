@@ -356,10 +356,14 @@ class _Workspace:
         the cell's faces, to ``rate`` and return it: the one bound behind
         :func:`stable_dt` and the chemotaxis substeps."""
         for face in self.faces:
+            scale = chi / face.h2
+            if scale == math.inf:  # no number bounds the step; skip 0 * inf's warning
+                self.rate.fill(math.nan)
+                break
             rate = face.dw
             np.subtract(w[face.hi], w[face.lo], out=rate)
             np.abs(rate, out=rate)
-            rate *= chi / face.h2
+            rate *= scale
             face.rate_lo += rate
             face.rate_hi += rate
         return self.rate

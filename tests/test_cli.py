@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from chemolab import model, solver
 from chemolab.cli import main, read_diagnostics_csv, write_diagnostics_csv
@@ -137,6 +139,43 @@ def test_parse_rejects_bool_and_string_grid_entries(tmp_path, key, entries):
             assert parse_config(write_config(tmp_path, bad)).grid.dim == 2
 
 
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("params", "chi1", 10**400, "params.chi1 must be a finite number"),
+        ("time", "t_end", -(10**400), "time.t_end must be a finite number"),
+        ("output", "every", math.nan, "output.every must be a finite number"),
+        ("grid", "lengths", [1.0, 10**400], "grid.lengths must be a list of finite numbers"),
+        ("grid", "cells", [8, math.inf], "grid.cells must be a list of finite numbers"),
+        ("u", "center", [math.nan, 0.5], "initial.u.center must be a list of finite numbers"),
+        ("v", "modes", [10**400, 1],
+         "initial.v.modes must be a list of integers within float range"),
+    ],
+    ids=["chi1", "t_end", "every", "lengths", "cells", "center", "modes"],
+)
+def test_parse_refuses_numbers_beyond_float_range(tmp_path, section, key, value, message):
+    bad = minimal_config(output={"every": 0.01})
+    bad["initial"]["u"] = {"kind": "gaussian", "center": [0.5, 0.5], "width": 0.1, "amplitude": 1.0}
+    bad["initial"]["v"] = {"kind": "cosine_bump", "base": 1.0, "amplitude": 0.5, "modes": [1, 1]}
+    (bad["initial"] if section in "uvw" else bad)[section][key] = value
+    with pytest.raises(ConfigError) as raised:
+        parse_config(write_config(tmp_path, bad))
+    assert str(raised.value) == message  # names the key, echoes no digits
+
+
+def test_parse_casts_numbers_so_equal_configs_share_a_digest(tmp_path):
+    digests = []
+    for center, cells in (([0, 1], [8, 8]), ([0.0, 1.0], [8.0, 8])):
+        cfg = minimal_config(grid={"lengths": [1, 1.0], "cells": cells})
+        cfg["initial"]["u"] = {"kind": "gaussian", "center": center, "width": 1, "amplitude": 1}
+        parsed = parse_config(write_config(tmp_path, cfg))
+        assert parsed.initial.u.center == (0.0, 1.0) and parsed.grid.cells == (8, 8)
+        assert all(type(x) is float for x in parsed.initial.u.center + parsed.grid.lengths)
+        assert type(parsed.initial.u.width) is float
+        digests.append(config_digest(parsed))
+    assert digests[0] == digests[1]
+
+
 def test_parse_weight_group(tmp_path):
     cfg = minimal_config(weight={"p": 2.0, "eps": 0.3})
     parsed = parse_config(write_config(tmp_path, cfg))
@@ -238,6 +277,58 @@ def test_digest_of_readme_example_is_pinned(tmp_path):
     assert config_digest(cfg) == (
         "763db43636312e734ade84149db6de0923019db89af13d6f7739060ae5e61ede"
     )
+
+
+# Full configs whose key paths, between them, reach every key the schema
+# reads: the README config with grid.dim, and each field of every initial kind.
+_FULL_CONFIGS = []
+for _u, _w in (
+    ({"kind": "gaussian", "center": [0.5, 0.5], "width": 0.1, "amplitude": 1.0, "floor": 0.5},
+     {"kind": "constant", "value": 0.25}),
+    ({"kind": "cosine_bump", "base": 1.0, "amplitude": 0.5},
+     {"kind": "file", "path": "w.raw"}),
+):
+    _full = json.loads(json.dumps(README_CONFIG))
+    _full["grid"]["dim"] = 2
+    _full["initial"].update(u=_u, w=_w)
+    _FULL_CONFIGS.append(_full)
+
+
+def _key_paths(node, prefix=()):
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+_KEY_PATHS = sorted({(i, path) for i, full in enumerate(_FULL_CONFIGS)
+                     for path in _key_paths(full)})
+_JSON_VALUES = hst.recursive(
+    hst.none() | hst.booleans() | hst.text(max_size=4)
+    | hst.integers() | hst.sampled_from([10**400, -(10**400)])
+    | hst.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: hst.lists(inner, max_size=3)
+    | hst.dictionaries(hst.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(where=hst.sampled_from(_KEY_PATHS), value=_JSON_VALUES)
+def test_parse_any_json_value_at_any_key_path_returns_or_is_a_config_error(
+    tmp_path_factory, where, value
+):
+    index, path = where
+    cfg = json.loads(json.dumps(_FULL_CONFIGS[index]))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    folder = tmp_path_factory.mktemp("fuzz")
+    try:
+        parse_config(write_config(folder, cfg))
+    except ConfigError:
+        pass
 
 
 # ---------------------------------------------------------------- CSV + I/O
@@ -462,7 +553,6 @@ def test_cmd_run_stalled_step_exits_three(tmp_path, capsys):
     assert "run ended early (stalled)" in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "chi1, lengths", [(1e6, [1e-150]), (1e308, [1.0])], ids=["tiny_box", "huge_chi"]
 )
@@ -475,7 +565,7 @@ def test_cmd_run_step_bound_that_is_not_a_number_stalls(tmp_path, capsys, chi1, 
     assert code == 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outcome"] == "stalled" and manifest["steps"] == 0
-    assert math.isnan(manifest["stalled"]["value"])
+    assert manifest["stalled"]["value"] is None
     assert sorted(p.name for p in out.iterdir()) == sorted(manifest["files"] + ["manifest.json"])
     assert "diagnostics.csv" in manifest["files"] and "final_state.json" in manifest["files"]
     printed = capsys.readouterr().out
@@ -492,6 +582,73 @@ def test_cmd_run_with_a_gaussian_wider_than_float_range(tmp_path):
     code = main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--quiet"])
     assert code in (0, 2)
     assert json.loads((out / "manifest.json").read_text())["outcome"] == "completed"
+
+
+def test_cmd_run_with_a_gaussian_narrower_than_float_range(tmp_path):
+    # 2 width^2 underflows; [0.53125] is the center of cell 8 of 16
+    for center in (0.5, 0.53125):
+        cfg = minimal_config(grid={"lengths": [1.0], "cells": [16]})
+        cfg["initial"]["u"] = {
+            "kind": "gaussian", "center": [center], "width": 1e-200, "amplitude": 1.0,
+            "floor": 0.5,
+        }
+        out = tmp_path / str(center)
+        code = main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out),
+                     "--quiet"])
+        assert code in (0, 2)
+        rows = read_diagnostics_csv(out / "diagnostics.csv")
+        assert rows[0].linf_u == (1.5 if center == 0.53125 else 0.5)
+
+
+def _strict_json(path):
+    def refuse(token):
+        raise ValueError(f"bare {token} in {path.name}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "changes, file, pick",
+    [
+        # chi1 / h^2 overflows, so the step bound is not a number
+        ({"params.chi1": 1e6, "grid.lengths": [1e-150]}, "manifest.json",
+         lambda d: d["stalled"]["value"]),
+        # chi1 * ||w0||_inf overflows
+        ({"params.chi1": 1e308, "initial.w": {"kind": "constant", "value": 10.0}},
+         "manifest.json", lambda d: d["threshold"]["m1"]),
+        # a zero signal decays at an infinite rate
+        ({"initial.w": {"kind": "constant", "value": 0.0}}, "verification.json",
+         lambda d: next(c["value"] for c in d["checks"] if c["name"] == "decay_rate")),
+        # one sample after t = 0 fits no rate
+        ({"output": {"every": 1.0}}, "verification.json",
+         lambda d: next(c["value"] for c in d["checks"] if c["name"] == "decay_rate")),
+    ],
+    ids=["stalled", "m1", "zero_signal", "one_sample"],
+)
+def test_cmd_run_writes_non_finite_values_as_null(tmp_path, changes, file, pick):
+    cfg = minimal_config(grid={"lengths": [1.0], "cells": [16]}, time={"t_end": 1.0})
+    for dotted, value in changes.items():
+        section, _, key = dotted.rpartition(".")
+        (cfg[section] if section else cfg)[key] = value
+    out = tmp_path / "out"
+    main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--quiet"])
+    for name in ("manifest.json", "verification.json", "final_state.json"):
+        if (out / name).exists():
+            _strict_json(out / name)
+    assert pick(_strict_json(out / file)) is None
+
+
+@pytest.mark.parametrize("w0", [0.5, 5.0], ids=["within", "above"])
+def test_verification_json_holds_the_threshold_and_weight_note_of_the_manifest(tmp_path, w0):
+    cfg = minimal_config()
+    cfg["initial"]["w"]["value"] = w0
+    out = tmp_path / "out"
+    main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--quiet"])
+    manifest = json.loads((out / "manifest.json").read_text())
+    report = json.loads((out / "verification.json").read_text())
+    assert report["threshold"] == manifest["threshold"]
+    assert report["weight_note"] == manifest["weight_note"]
+    assert report["threshold"]["within"] == (w0 == 0.5)
 
 
 @pytest.mark.parametrize("w0, within", [(0.5, True), (5.0, False)], ids=["within", "above"])

@@ -189,6 +189,16 @@ def test_gaussian_wider_than_float_range_is_flat():
         assert np.all(flat.sample(g) == 0.1 + 2.0)
 
 
+def test_gaussian_narrower_than_float_range_is_a_spike_on_its_center():
+    g = Grid(lengths=(1.0,), cells=(16,))
+    # 2 width^2 underflows to 0, or is subnormal and sq / spread overflows
+    for width in (1e-200, 1e-160):
+        off = GaussianInit(center=(0.5,), width=width, amplitude=2.0, floor=0.1)
+        assert np.all(off.sample(g) == 0.1)
+        on = GaussianInit(center=(0.53125,), width=width, amplitude=2.0, floor=0.1).sample(g)
+        assert on[8] == 0.1 + 2.0 and np.all(np.delete(on, 8) == 0.1)
+
+
 def test_raw_field_round_trip_pins_layout(tmp_path):
     # x must vary fastest in the byte stream
     g = Grid(lengths=(1.0, 1.0), cells=(3, 2))
