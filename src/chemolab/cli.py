@@ -272,6 +272,9 @@ def main(argv=None) -> int:
     except (ConfigError, SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a grid or table beyond any address space
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         if isinstance(exc, BrokenPipeError):  # send what is still buffered nowhere
             with contextlib.suppress(AttributeError, OSError):  # stdout has no descriptor

@@ -36,6 +36,7 @@ __all__ = [
 
 # verify_run's thresholds
 _MASS_TOL = 1e-10  # relative drift of the integrals of u and v
+_WEIGHTED_LP_TOL = 1e-10  # relative rise of the weighted L^p value of u
 _ENVELOPE_TOL = 1e-12  # excess of max w over ||w0||_inf, and its growth per sample
 _ENERGY_BUDGET_TOL = 1e-8  # excess of int int |grad w|^2 over half int w0^2
 _TAIL_FRACTION = 0.25  # trailing share of the run for the Dirichlet increments
@@ -318,8 +319,10 @@ def verify_run(
 
     Each check is independent: mass conservation, the signal maximum
     principle, the signal energy budget, finiteness of the density energy
-    integrals, end-state stabilization, and the guaranteed signal decay
-    rate.  Returns a report object; nothing raises.
+    integrals, end-state stabilization, the guaranteed signal decay rate,
+    and the paper's weighted L^p estimate for u, which is left out when the
+    first record has no weighted value.  Returns a report object; nothing
+    raises.
     """
     if len(records) < 2:
         raise ValueError("verify_run needs at least two records")
@@ -391,5 +394,19 @@ def verify_run(
         check("decay_rate", math.nan, 0.0, str(exc), passed=False)
     else:
         check("decay_rate", rate, guaranteed, detail, passed=rate >= guaranteed)
+
+    lyap = [r.lyapunov for r in records]
+    if lyap[0] is not None:
+        if None in lyap:  # the signal left the weight's domain, or float range
+            rise = math.inf
+        elif lyap[0] > 0.0:
+            rise = max(lyap) / lyap[0] - 1.0
+        else:  # u^p underflows at t = 0: any positive value is a rise
+            rise = 0.0 if max(lyap) == 0.0 else math.inf
+        check(
+            "weighted_lp_u", rise, _WEIGHTED_LP_TOL,
+            "max over the samples of (1/p) int u^p phi(chi1 w), relative to "
+            "its initial value, minus 1; an empty value after the first fails",
+        )
 
     return VerificationReport(checks=tuple(checks))

@@ -7,7 +7,6 @@ marked read-only), so they can be shared across threads without coordination.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Union
@@ -186,12 +185,14 @@ class CosineBumpInit:
         modes = self.modes if self.modes else (1,) * grid.dim
         if len(modes) != grid.dim:
             raise ValueError("cosine_bump modes must give one integer per axis")
-        out = np.full(grid.shape, float(self.base))
         bump = np.ones(grid.shape)
-        for k, (x, mode) in enumerate(zip(grid.center_mesh(), modes)):
-            if mode:
-                bump = bump * np.cos(mode * np.pi * x / grid.lengths[k])
-        return out + self.amplitude * bump
+        with np.errstate(all="ignore"):  # a sum beyond float range is non-finite
+            for k, (x, mode) in enumerate(zip(grid.center_mesh(), modes)):
+                # at the m cell centers the factor is even in mode, of period 4 m
+                mode = abs(mode) % (4 * grid.cells[k])
+                if mode:
+                    bump = bump * np.cos(mode * np.pi * x / grid.lengths[k])
+            return np.full(grid.shape, float(self.base)) + self.amplitude * bump
 
 
 @dataclass(frozen=True)
@@ -211,17 +212,15 @@ class GaussianInit:
             raise ValueError("gaussian center must give one coordinate per axis")
         if not self.width > 0.0:
             raise ValueError("gaussian width must be positive")
-        try:
-            spread = 2.0 * self.width**2
-        except OverflowError:  # the limit exp(-sq / inf) = 1
-            spread = math.inf
-        sq = np.zeros(grid.shape)
-        for x, c in zip(grid.center_mesh(), self.center):
-            sq = sq + (x - c) ** 2
-        if float(sq.max()) > spread * sys.float_info.max:
-            # sq / spread overflows: the limit spread -> 0, a spike on the center
-            return self.floor + self.amplitude * (sq == 0.0)
-        return self.floor + self.amplitude * np.exp(-sq / spread)
+        # limits beyond float range come from the arithmetic: a spread of inf
+        # samples exp(-0) = 1, one of 0 exp(-inf) = 0 off the center
+        with np.errstate(all="ignore"):
+            spread = 2.0 * np.float64(self.width) ** 2
+            sq = np.zeros(grid.shape)
+            for x, c in zip(grid.center_mesh(), self.center):
+                sq = sq + (x - c) ** 2
+            bump = np.exp(-sq / spread, where=sq > 0.0, out=np.ones(grid.shape))
+            return self.floor + self.amplitude * bump
 
 
 @dataclass(frozen=True)
@@ -275,6 +274,7 @@ class ValidatedInitialData:
     ubar0: float  # mean of u over the box
     vbar0: float
     w0_max: float
+    int_w0_sq: float  # int w0^2 over the box
 
 
 def _first_bad_cell(mask: np.ndarray) -> tuple[int, ...]:
@@ -285,8 +285,10 @@ def validate_initial_data(u0, v0, w0, grid: Grid) -> ValidatedInitialData:
     """Check initial fields against the positivity hypotheses.
 
     u0 and v0 must be strictly positive, w0 nonnegative, all finite and
-    sized to the grid.  Returns the triple unchanged together with the
-    recorded means and the sup of w0.  Idempotent.
+    sized to the grid, and the integrals of u0, v0 and w0^2 (cell volume
+    times cell sum, as the diagnostics take them) within float range.
+    Returns the triple unchanged together with the recorded means, the sup
+    of w0 and the integral of w0^2.  Idempotent.
     """
     fields = {}
     for name, raw in (("u0", u0), ("v0", v0), ("w0", w0)):
@@ -314,6 +316,14 @@ def validate_initial_data(u0, v0, w0, grid: Grid) -> ValidatedInitialData:
             f"{_first_bad_cell(fields['w0'] < 0.0)}"
         )
     u, v, w = (fields[n].copy() for n in ("u0", "v0", "w0"))
+    with np.errstate(over="ignore"):  # an integral beyond float range is refused
+        integrals = {
+            name: grid.volume_element * float(np.sum(arr))
+            for name, arr in (("u0", u), ("v0", v), ("w0^2", w * w))
+        }
+    for name, value in integrals.items():
+        if not math.isfinite(value):
+            raise ValueError(f"the integral of {name} is beyond float range")
     for arr in (u, v, w):
         arr.flags.writeable = False
     return ValidatedInitialData(
@@ -323,6 +333,7 @@ def validate_initial_data(u0, v0, w0, grid: Grid) -> ValidatedInitialData:
         ubar0=float(u.mean()),
         vbar0=float(v.mean()),
         w0_max=float(w.max()),
+        int_w0_sq=integrals["w0^2"],
     )
 
 

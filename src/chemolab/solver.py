@@ -573,14 +573,13 @@ def run(config: ScenarioConfig) -> RunResult:
     init = validate_initial_data(*config.initial.build(grid), grid)
     opts = config.options
     weight, weight_note = _resolve_weight(config, params, init.w0_max)
-    w0sq = grid.volume_element * float(np.sum(init.w * init.w))
     ctx = RunContext(
         grid=grid,
         params=params,
         ubar0=init.ubar0,
         vbar0=init.vbar0,
         w0_max=init.w0_max,
-        int_w0_sq=w0sq,
+        int_w0_sq=init.int_w0_sq,
         weight=weight,
         weight_note=weight_note,
     )

@@ -803,6 +803,66 @@ def test_cmd_run_rejects_a_box_beyond_float_range_before_running(
     assert not (out / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "field, initial",
+    [
+        ("u0", {"u": {"kind": "constant", "value": 1e308},
+                "v": {"kind": "constant", "value": 1e308}}),
+        ("w0^2", {"w": {"kind": "cosine_bump", "base": 1e200, "amplitude": 1e199}}),
+    ],
+)
+def test_cmd_run_refuses_initial_integrals_beyond_float_range(tmp_path, capsys, field, initial):
+    # every cell is finite, the integral the diagnostics take is not
+    cfg = minimal_config(grid={"lengths": [1.0], "cells": [4]})
+    cfg["initial"].update(initial)
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: the integral of {field} is beyond float range\n"
+    assert not (out / "diagnostics.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "u, linf_u",
+    [
+        ({"kind": "cosine_bump", "base": 1.0, "amplitude": 0.5, "modes": [10**308]}, 1.5),
+        ({"kind": "gaussian", "center": [1e200], "width": 0.1, "amplitude": 1.0,
+          "floor": 0.5}, 0.5),
+    ],
+    ids=["cosine_mode_1e308", "gaussian_center_1e200"],
+)
+def test_cmd_run_samples_accepted_values_beyond_float_arithmetic(tmp_path, u, linf_u):
+    # 10^308 is a multiple of 4 * 16, so u is base + amplitude exactly; the
+    # far center's squared distance overflows, so u is its floor
+    cfg = minimal_config(grid={"lengths": [1.0], "cells": [16]})
+    cfg["initial"]["u"] = u
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--quiet"])
+    assert code in (0, 2)
+    rows = read_diagnostics_csv(out / "diagnostics.csv")
+    assert rows[0].linf_u == linf_u and rows[0].dev_u == 0.0
+
+
+# Sizes in exabytes: beyond every address space, so the allocation fails at
+# once whatever the overcommit setting; nothing is ever mapped.
+def test_cmd_run_grid_beyond_memory_exits_one(tmp_path, capsys):
+    cfg = minimal_config(grid={"lengths": [1.0] * 3, "cells": [10**6] * 3})
+    code = main(["run", "--config", str(write_config(tmp_path, cfg)), "--out",
+                 str(tmp_path / "out"), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
+def test_cmd_analyze_weight_table_beyond_memory_exits_one(capsys):
+    code = main(["analyze-weight", "--p", "2", "--eps", "0.3", "--m", "1",
+                 "--samples", str(10**18)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory: ") and captured.err.count("\n") == 1
+
+
 def test_grid_keeps_boxes_within_float_range():
     assert Grid(lengths=(1e-150,), cells=(16,)).volume_element > 0.0
     assert Grid(lengths=(1e200,), cells=(16,)).volume == 1e200

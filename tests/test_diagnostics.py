@@ -437,10 +437,11 @@ def test_verify_run_thresholds_are_pinned():
     res = run(reference_scenario(cells=(32, 32), t_end=0.5))
     records, ctx = res.records, res.context
     by_name = {c.name: c for c in verify_run(records, ctx)}
-    assert len(by_name) == 8
+    assert len(by_name) == 9
     for name, threshold in (
         ("mass_conservation_u", 1e-10),
         ("mass_conservation_v", 1e-10),
+        ("weighted_lp_u", 1e-10),
         ("signal_envelope", 1e-12),
         ("signal_energy_budget", 1e-8),
         ("end_state", 1e-3),
@@ -459,6 +460,23 @@ def test_verify_run_thresholds_are_pinned():
     fit = fit_decay((r.t, r.linf_w) for r in records)
     assert fit.rate == decay.value
     assert fit.t_start == records[-round(0.5 * len(records))].t
+
+
+def test_weighted_lp_u_fails_on_a_rise_or_a_later_empty_value():
+    res = run(reference_scenario(cells=(16, 16), t_end=0.5))
+    records, n = res.records, len(res.records)
+
+    def verdict(values):
+        rows = [replace(r, lyapunov=value) for r, value in zip(records, values)]
+        return {c.name: c for c in verify_run(rows, res.context)}.get("weighted_lp_u")
+
+    assert verdict([1.0] * n).passed and verdict([1.0] * n).value == 0.0
+    assert not verdict([1.0, 1.0 + 1e-9] + [1.0] * (n - 2)).passed
+    empty = verdict([1.0] * (n - 1) + [None])  # the signal left the weight's domain
+    assert not empty.passed and empty.value == math.inf
+    assert verdict([None] * n) is None  # no weighted value at t = 0: no check
+    assert verdict([0.0] * n).passed  # u^p underflows at every sample
+    assert not verdict([0.0] * (n - 1) + [1e-300]).passed
 
 
 # Deliberately broken solvers: each wraps one split operator of the
@@ -498,6 +516,12 @@ def _signal_source_absorb(ws, fields, tau, params):
     fields[2] *= np.exp(2.1 * tau)
 
 
+def _growing_signal_absorb(ws, fields, tau, params):
+    # a source 2.5 w after absorbing: max w soon leaves the weight's domain
+    _ABSORB(ws, fields, tau, params)
+    fields[2] *= np.exp(2.5 * tau)
+
+
 _MUTATIONS = {
     "leaky_diffuse": (
         "diffuse", _leaky_diffuse, {"mass_conservation_u", "mass_conservation_v"}
@@ -514,13 +538,12 @@ _MUTATIONS = {
     "signal_source_absorb": (
         "absorb", _signal_source_absorb, {"signal_envelope", "end_state", "decay_rate"}
     ),
+    "growing_signal_absorb": (
+        "absorb",
+        _growing_signal_absorb,
+        {"signal_envelope", "end_state", "decay_rate", "weighted_lp_u"},
+    ),
 }
-
-
-def _growing_signal_absorb(ws, fields, tau, params):
-    # a source 2.5 w after absorbing: max w soon leaves the weight's domain
-    _ABSORB(ws, fields, tau, params)
-    fields[2] *= np.exp(2.5 * tau)
 
 
 def test_signal_outside_the_weight_domain_is_an_empty_lyapunov_cell(monkeypatch):

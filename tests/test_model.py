@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from chemolab.model import (
     ConstantInit,
@@ -104,6 +107,21 @@ def test_validate_rejects_nan_and_bad_shape():
         validate_initial_data(np.ones(8), np.ones(8), wneg, g)
 
 
+def test_validate_refuses_integrals_beyond_float_range():
+    g = Grid(lengths=(1.0,), cells=(4,))
+    huge = np.full(4, 1e308)  # every cell finite, their sum is not
+    with pytest.raises(ValueError, match="integral of u0 is beyond float range"):
+        validate_initial_data(huge, np.ones(4), np.zeros(4), g)
+    with pytest.raises(ValueError, match="integral of v0 is beyond float range"):
+        validate_initial_data(np.ones(4), huge, np.zeros(4), g)
+    with pytest.raises(ValueError, match=r"integral of w0\^2 is beyond float range"):
+        validate_initial_data(np.ones(4), np.ones(4), np.full(4, 1e200), g)
+    # a box near float range with unit fields keeps its integrals
+    wide = Grid(lengths=(1e200,), cells=(16,))
+    init = validate_initial_data(np.ones(16), np.ones(16), np.ones(16), wide)
+    assert init.int_w0_sq == 1e200
+
+
 def test_validate_cosine_mean_is_exact():
     # Cell-center samples of cos(pi x) on a symmetric grid sum to zero, so
     # the recorded mean of 1 + 0.5 cos(pi x) is 1 to rounding.
@@ -197,6 +215,69 @@ def test_gaussian_narrower_than_float_range_is_a_spike_on_its_center():
         assert np.all(off.sample(g) == 0.1)
         on = GaussianInit(center=(0.53125,), width=width, amplitude=2.0, floor=0.1).sample(g)
         assert on[8] == 0.1 + 2.0 and np.all(np.delete(on, 8) == 0.1)
+
+
+def test_cosine_modes_sample_exactly_modulo_four_cells():
+    # at the centers of m cells cos(mode pi x / L) is even in mode and has
+    # period 4 m in it, so any mode within float range samples exactly
+    g = Grid(lengths=(1.0, 2.0), cells=(16, 3))
+    base = CosineBumpInit(base=1.0, amplitude=0.5, modes=(3, 2)).sample(g)
+    for modes in ((-3, -2), (3 + 64, -2 - 12), (3 + 64 * 10**300, 2 + 12 * 10**300)):
+        same = CosineBumpInit(base=1.0, amplitude=0.5, modes=modes).sample(g)
+        assert np.array_equal(same, base), modes
+    flat = CosineBumpInit(base=1.0, amplitude=0.5, modes=(10**308, 0)).sample(g)
+    assert np.all(flat == 1.5)  # 10^308 is a multiple of 4 * 16
+
+
+_NUMBERS = hst.sampled_from(
+    [0.0, 5e-324, 1e-320, 1e-200, 1e-160, 0.5, 1.0, 1e200, 1e308, -1.0, -1e308]
+) | hst.floats(allow_nan=False, allow_infinity=False)
+_MODES = hst.sampled_from([0, 1, -3, 64, 10**308, -(10**308)]) | hst.integers(
+    -(10**308), 10**308
+)
+
+
+@hst.composite
+def _grids(draw):
+    dim = draw(hst.integers(1, 3))
+    lengths = draw(hst.lists(
+        hst.sampled_from([1e-100, 1.0, 1e100, 1e300]) | hst.floats(5e-324, sys.float_info.max),
+        min_size=dim, max_size=dim,
+    ))
+    cells = draw(hst.lists(hst.integers(2, 5), min_size=dim, max_size=dim))
+    try:
+        return Grid(lengths=tuple(lengths), cells=tuple(cells))
+    except ValueError:  # a box the config refuses
+        assume(False)
+
+
+_SPECS = hst.one_of(
+    hst.builds(ConstantInit, _NUMBERS),
+    hst.builds(
+        CosineBumpInit, _NUMBERS, _NUMBERS, hst.lists(_MODES, max_size=3).map(tuple)
+    ),
+    hst.builds(
+        GaussianInit,
+        hst.lists(_NUMBERS, min_size=1, max_size=3).map(tuple),
+        _NUMBERS,
+        _NUMBERS,
+        _NUMBERS,
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid=_grids(), spec=_SPECS)
+def test_sampling_any_accepted_value_is_finite_or_refused(grid, spec):
+    # a RuntimeWarning is an error here, so sampling must not raise one
+    try:
+        field = spec.sample(grid)
+    except ValueError:  # a non-positive width, or a list of the wrong length
+        return
+    assert field.shape == grid.shape
+    if not np.all(np.isfinite(field)):  # a sum or an angle beyond float range
+        with pytest.raises(ValueError, match="non-finite entry"):
+            validate_initial_data(field, np.ones(grid.shape), np.zeros(grid.shape), grid)
 
 
 def test_raw_field_round_trip_pins_layout(tmp_path):
