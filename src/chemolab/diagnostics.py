@@ -106,8 +106,9 @@ def _dirichlet_energies(fields: np.ndarray, grid: Grid) -> np.ndarray:
     total = np.zeros(fields.shape[:lead])
     for axis, h in enumerate(grid.spacing):
         diff = fields[_hi(axis + lead, dim + lead)] - fields[_lo(axis + lead, dim + lead)]
-        diff /= h
-        diff *= diff
+        with np.errstate(over="ignore"):  # a gradient beyond float range: inf
+            diff /= h
+            diff *= diff
         total += _integrals(diff, grid)
         del diff  # freed before the next axis allocates its own
     return total

@@ -26,19 +26,18 @@ advective face rate plus its absorption rate, which keeps every upwind
 stage a convex combination; A splits itself when D and R steepened w past
 that bound.
 
-The operators work in place in a workspace (:class:`_Workspace`) that holds
-what every step on a grid would otherwise rebuild: the DCT scratch and
-plans, the chemotaxis stage and rate buffers, one set of face buffers and
-the decay factors.  Each thread has its own, and :func:`run` gives each run
-its own.  rhs and step still act as pure functions: their input is only
-read, and the arrays they return are fresh and never written again.
-Concurrent runs share no mutable buffers.
+:func:`run` steps with one :class:`_Workspace`, the run's stepper: it holds
+the run's parameters and scheme options and what every step would
+otherwise rebuild (the DCT scratch and plans, the chemotaxis stage and rate
+buffers, one set of face buffers and the decay factors), and the operators
+work in place in it.  The public rhs, stable_dt and step each build a
+throwaway one, so they act as pure functions: their input is only read,
+and the arrays they return are fresh and never written again.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -149,32 +148,6 @@ def _face_density(
     return out
 
 
-def rhs(
-    state: State,
-    params: ModelParams,
-    grid: Grid,
-    scheme: SchemeOptions,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Semi-discrete right-hand side (du, dv, dw).
-
-    The flux-form Laplacian of u, v and w, plus the stepper's chemotaxis
-    kernel (:meth:`_Workspace.transport`) at unit time scale, plus the
-    absorption sink -(alpha u + beta v) w on w.  du and dv are
-    divergence-form, so their sums over all cells telescope to zero.
-    """
-    fields = np.concatenate((state.u, state.v, state.w)).reshape((3,) + grid.shape)
-    out = np.zeros_like(fields)
-    ws = _workspace(grid)
-    for face in ws.faces:
-        flux = fields[face.hi2] - fields[face.lo2]
-        flux /= face.h2
-        out[face.lo2] += flux
-        out[face.hi2] -= flux
-    ws.transport(fields[:2], fields[2], out[:2], 1.0, params, scheme.advection)
-    out[2] -= (params.alpha * state.u + params.beta * state.v) * state.w
-    return out[0], out[1], out[2]
-
-
 # ------------------------------------------------------- split operators
 
 
@@ -217,7 +190,8 @@ class _Face:
 
 
 class _Workspace:
-    """Everything a step on one grid needs besides its state, built once.
+    """The stepper of a run: its grid, parameters and scheme options, and
+    everything a step needs besides its state, built once.
 
     * ``scratch``, three fields: the DCT's second buffer in D, the two
       exponents of R, and A's Heun stage (``stage``, u and v) and face
@@ -234,14 +208,14 @@ class _Workspace:
       both species.  A method that reads them fills them first, so no call
       depends on what an earlier one left.
 
-    The methods work in place on a stacked (3, *grid.shape) array of u, v
-    and w.  :func:`step` makes that array fresh every step, because it is
-    the step's output.  A workspace is used by one thread at a time: see
-    :func:`_workspace`.
+    The operators work in place on a stacked (3, *grid.shape) array of u,
+    v and w.  :meth:`step` makes that array fresh every step, because it is
+    the step's output.
     """
 
-    def __init__(self, grid: Grid):
-        self.grid = grid
+    def __init__(self, grid: Grid, params: ModelParams, scheme: SchemeOptions):
+        self.params, self.scheme = params, scheme
+        self.chi = max(params.chi1, params.chi2)
         self.stacked = (3,) + grid.shape
         self.scratch = np.empty(self.stacked)
         self.stage, self.rate = self.scratch[:2], self.scratch[2]
@@ -342,21 +316,22 @@ class _Workspace:
         self._dct(fields, inverse=True)
         flat += mean
 
-    def absorb(self, fields: np.ndarray, tau: float, params: ModelParams) -> None:
+    def absorb(self, fields: np.ndarray, tau: float) -> None:
         """R: exact absorption in place, w <- w * exp(-tau (alpha u + beta v))."""
         exponent, other = self.rows[0], self.rows[1]
-        np.multiply(fields[0], -tau * params.alpha, out=exponent)
-        np.multiply(fields[1], -tau * params.beta, out=other)
+        np.multiply(fields[0], -tau * self.params.alpha, out=exponent)
+        np.multiply(fields[1], -tau * self.params.beta, out=other)
         exponent += other
         np.exp(exponent, out=exponent)
         fields[2] *= exponent
 
-    def face_rate(self, w: np.ndarray, chi: float) -> np.ndarray:
+    def face_rate(self, w: np.ndarray) -> np.ndarray:
         """Add each cell's advective face rate, chi |grad w| / h summed over
-        the cell's faces, to ``rate`` and return it: the one bound behind
-        :func:`stable_dt` and the chemotaxis substeps."""
+        the cell's faces with chi = max(chi1, chi2), to ``rate`` and return
+        it: the one bound behind :meth:`stable_dt` and the chemotaxis
+        substeps."""
         for face in self.faces:
-            scale = chi / face.h2
+            scale = self.chi / face.h2
             if scale == math.inf:  # no number bounds the step; skip 0 * inf's warning
                 self.rate.fill(math.nan)
                 break
@@ -368,12 +343,10 @@ class _Workspace:
             face.rate_hi += rate
         return self.rate
 
-    def transport(
-        self, dens: np.ndarray, w: np.ndarray, out: np.ndarray, dt: float,
-        params: ModelParams, scheme: str,
-    ) -> None:
+    def transport(self, dens: np.ndarray, w: np.ndarray, out: np.ndarray, dt: float) -> None:
         """Add dt times the chemotaxis term -div(chi d grad w) of the stacked
-        densities ``dens`` (species first) to ``out`` (dt = 1 in :func:`rhs`)."""
+        densities ``dens`` (species first) to ``out`` (dt = 1 in :meth:`rhs`)."""
+        params, scheme = self.params, self.scheme.advection
         upwind = scheme == "upwind"
         for face in self.faces:
             tau = dt / face.h2
@@ -389,45 +362,102 @@ class _Workspace:
             out_lo -= flux
             out_hi += flux
 
-    def advect(
-        self, fields: np.ndarray, dt: float, params: ModelParams, scheme: str
-    ) -> None:
+    def advect(self, fields: np.ndarray, dt: float) -> None:
         """A: chemotaxis of u and v with w frozen, by Heun's SSP-RK2, in place.
 
         Each Heun step is two forward-Euler stages and ends on their average.
         For upwind, a stage is a convex combination of cell values while its
         length times :meth:`face_rate` stays at most 1 in every cell.
-        :func:`stable_dt` sees w before D and R, which can steepen it, so A
+        :meth:`stable_dt` sees w before D and R, which can steepen it, so A
         takes the fewest equal Heun steps that keep that bound: one, unless
         the signal steepened.
         """
         dens, w, stage = fields[:2], fields[2], self.stage
         self.rate.fill(0.0)
-        rate = self.face_rate(w, max(params.chi1, params.chi2))
+        rate = self.face_rate(w)
         needed = dt * float(np.maximum.reduce(rate, axis=None))
         substeps = math.ceil(needed) if 1.0 < needed < math.inf else 1  # NaN -> 1
         tau = dt / substeps
         for _ in range(substeps):
             np.copyto(stage, dens)
-            self.transport(dens, w, stage, tau, params, scheme)
+            self.transport(dens, w, stage, tau)
             dens += stage
-            self.transport(stage, w, dens, tau, params, scheme)
+            self.transport(stage, w, dens, tau)
             dens *= 0.5
 
+    def rhs(self, state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`rhs` of ``state``."""
+        params = self.params
+        fields = np.concatenate((state.u, state.v, state.w)).reshape(self.stacked)
+        out = np.zeros_like(fields)
+        for face in self.faces:
+            flux = fields[face.hi2] - fields[face.lo2]
+            flux /= face.h2
+            out[face.lo2] += flux
+            out[face.hi2] -= flux
+        self.transport(fields[:2], fields[2], out[:2], 1.0)
+        out[2] -= (params.alpha * state.u + params.beta * state.v) * state.w
+        return out[0], out[1], out[2]
 
-_local = threading.local()  # .workspace: the calling thread's _Workspace
+    def stable_dt(self, state: State) -> float:
+        """:func:`stable_dt` of ``state``."""
+        params, scheme = self.params, self.scheme
+        with np.errstate(over="ignore"):  # a rate beyond float range stalls the run
+            rate = np.multiply(state.u, params.alpha, out=self.rate)
+            rate += np.multiply(state.v, params.beta, out=self.rows[0])
+        self.face_rate(state.w)
+        worst = max(float(np.maximum.reduce(rate, axis=None)), _TINY)
+        return min(scheme.cfl_safety / worst, scheme.dt_max)
+
+    def step(self, state: State, dt: float) -> State:
+        """:func:`step` of ``state`` by ``dt``."""
+        if not dt > 0.0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        fields = np.concatenate((state.u, state.v, state.w)).reshape(self.stacked)
+        decay = self.decay_for(0.5 * dt)
+        self.diffuse(fields, decay)
+        self.absorb(fields, 0.5 * dt)
+        self.advect(fields, dt)
+        self.absorb(fields, 0.5 * dt)
+        self.diffuse(fields, decay)
+        t_new = state.t + dt
+        flat = fields.reshape(3, -1)
+        lows = np.minimum.reduce(flat, axis=1).tolist()
+        if not all(mn >= _NEGATIVITY_TOL for mn in lows):  # NaN fails it too
+            for name, arr, mn in zip("uvw", fields, lows):
+                if math.isnan(mn):
+                    raise BlowUpDetected(t_new, name, _first_bad_cell(np.isnan(arr)), mn)
+                if mn < _NEGATIVITY_TOL:
+                    cell = _first_bad_cell(arr == mn)
+                    raise PositivityError(
+                        f"positivity violation in {name} at t={t_new}: min {mn} at cell "
+                        f"{cell} (reduce dt or switch to upwind)",
+                        t_new, name, cell, mn,
+                    )
+        u, v, w = fields
+        if lows[2] < 0.0:
+            np.maximum(w, 0.0, out=w)
+        highs = np.maximum.reduce(flat[:2], axis=1).tolist()
+        for name, arr, mx in zip("uv", fields, highs):
+            if mx > self.scheme.blowup_linf:
+                raise BlowUpDetected(t_new, name, _first_bad_cell(arr == mx), mx)
+        return State(t=t_new, u=u, v=v, w=w)
 
 
-def _workspace(grid: Grid) -> _Workspace:
-    """The calling thread's workspace, rebuilt when the grid changes.
+def rhs(
+    state: State,
+    params: ModelParams,
+    grid: Grid,
+    scheme: SchemeOptions,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Semi-discrete right-hand side (du, dv, dw).
 
-    :func:`run` installs one of its own for the length of the run, so a run
-    leaves no buffers behind and threads never share one.
+    The flux-form Laplacian of u, v and w, plus the stepper's chemotaxis
+    kernel (:meth:`_Workspace.transport`) at unit time scale, plus the
+    absorption sink -(alpha u + beta v) w on w.  du and dv are
+    divergence-form, so their sums over all cells telescope to zero.
     """
-    ws = getattr(_local, "workspace", None)
-    if ws is None or (ws.grid is not grid and ws.grid != grid):
-        ws = _local.workspace = _Workspace(grid)
-    return ws
+    return _Workspace(grid, params, scheme).rhs(state)
 
 
 def stable_dt(
@@ -444,12 +474,7 @@ def stable_dt(
     every grid; the absorption rate stays in the bound because the
     splitting error grows with it.
     """
-    ws = _workspace(grid)
-    rate = np.multiply(state.u, params.alpha, out=ws.rate)
-    rate += np.multiply(state.v, params.beta, out=ws.rows[0])
-    ws.face_rate(state.w, max(params.chi1, params.chi2))
-    worst = max(float(np.maximum.reduce(rate, axis=None)), _TINY)
-    return min(scheme.cfl_safety / worst, scheme.dt_max)
+    return _Workspace(grid, params, scheme).stable_dt(state)
 
 
 def step(
@@ -468,41 +493,10 @@ def step(
     divergence sentinel.  Rounding-level negative signal values are
     clipped to zero, which the signal's maximum principle justifies.
 
-    Works in the calling thread's :class:`_Workspace`; ``state`` is only
-    read, and the returned arrays are fresh and never written again.
+    Works in a throwaway :class:`_Workspace`; ``state`` is only read, and
+    the returned arrays are fresh and never written again.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    ws = _workspace(grid)
-    fields = np.concatenate((state.u, state.v, state.w)).reshape(ws.stacked)
-    decay = ws.decay_for(0.5 * dt)
-    ws.diffuse(fields, decay)
-    ws.absorb(fields, 0.5 * dt, params)
-    ws.advect(fields, dt, params, scheme.advection)
-    ws.absorb(fields, 0.5 * dt, params)
-    ws.diffuse(fields, decay)
-    t_new = state.t + dt
-    flat = fields.reshape(3, -1)
-    lows = np.minimum.reduce(flat, axis=1).tolist()
-    if not all(mn >= _NEGATIVITY_TOL for mn in lows):  # NaN fails it too
-        for name, arr, mn in zip("uvw", fields, lows):
-            if math.isnan(mn):
-                raise BlowUpDetected(t_new, name, _first_bad_cell(np.isnan(arr)), mn)
-            if mn < _NEGATIVITY_TOL:
-                cell = _first_bad_cell(arr == mn)
-                raise PositivityError(
-                    f"positivity violation in {name} at t={t_new}: min {mn} at cell "
-                    f"{cell} (reduce dt or switch to upwind)",
-                    t_new, name, cell, mn,
-                )
-    u, v, w = fields
-    if lows[2] < 0.0:
-        np.maximum(w, 0.0, out=w)
-    highs = np.maximum.reduce(flat[:2], axis=1).tolist()
-    for name, arr, mx in zip("uv", fields, highs):
-        if mx > scheme.blowup_linf:
-            raise BlowUpDetected(t_new, name, _first_bad_cell(arr == mx), mx)
-    return State(t=t_new, u=u, v=v, w=w)
+    return _Workspace(grid, params, scheme).step(state, dt)
 
 
 @dataclass(frozen=True)
@@ -567,11 +561,10 @@ def run(config: ScenarioConfig) -> RunResult:
     The samples' records are computed a block at a time by
     :func:`~chemolab.diagnostics.record_block`, which takes as many
     consecutive samples as fit ``_BLOCK_BYTES`` stacked (at least one).  The
-    steps work in a :class:`_Workspace` of the run's own.
+    run steps with one :class:`_Workspace` of its own.
     """
     grid, params = config.grid, config.params
     init = validate_initial_data(*config.initial.build(grid), grid)
-    opts = config.options
     weight, weight_note = _resolve_weight(config, params, init.w0_max)
     ctx = RunContext(
         grid=grid,
@@ -597,7 +590,7 @@ def run(config: ScenarioConfig) -> RunResult:
     k = 1
     steps = 0
     failure = None
-    outer, _local.workspace = getattr(_local, "workspace", None), _Workspace(grid)
+    ws = _Workspace(grid, params, config.options)
     try:
         while state.t < t_end:
             if len(pending) == block:
@@ -606,7 +599,7 @@ def run(config: ScenarioConfig) -> RunResult:
             if target >= t_end or (t_end - target) < 1e-12 * t_end:
                 target = t_end
             while state.t < target:
-                dt_stable = stable_dt(state, params, grid, opts)
+                dt_stable = ws.stable_dt(state)
                 if not dt_stable >= _DT_FLOOR:  # NaN: a face rate beyond float range
                     why = ("the step bound is not a number" if math.isnan(dt_stable)
                            else f"stability requires dt < {_DT_FLOOR}")
@@ -616,7 +609,7 @@ def run(config: ScenarioConfig) -> RunResult:
                 remaining = target - state.t
                 landed = dt_stable >= remaining
                 dt = remaining if landed else dt_stable
-                state = step(state, dt, params, grid, opts)
+                state = ws.step(state, dt)
                 steps += 1
                 if landed and state.t != target:
                     state = replace(state, t=target)
@@ -624,8 +617,6 @@ def run(config: ScenarioConfig) -> RunResult:
             k += 1
     except SolverError as exc:
         failure = exc.with_traceback(None)  # whose frames hold the last step's arrays
-    finally:
-        _local.workspace = outer
     if pending:
         flush()
     return RunResult(state, tuple(records), ctx, steps, failure)

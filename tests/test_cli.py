@@ -706,8 +706,8 @@ def test_cmd_run_signal_outside_the_weight_domain_exits_two(tmp_path, monkeypatc
     # lyapunov cells go empty, and the signal envelope check fails
     absorb = solver._Workspace.absorb
 
-    def growing_signal(ws, fields, tau, params):
-        absorb(ws, fields, tau, params)
+    def growing_signal(ws, fields, tau):
+        absorb(ws, fields, tau)
         fields[2] *= np.exp(2.5 * tau)
 
     monkeypatch.setattr(solver._Workspace, "absorb", growing_signal)
@@ -820,6 +820,26 @@ def test_cmd_run_refuses_initial_integrals_beyond_float_range(tmp_path, capsys, 
     assert code == 1
     assert capsys.readouterr().err == f"error: the integral of {field} is beyond float range\n"
     assert not (out / "diagnostics.csv").exists()
+
+
+def test_cmd_run_a_rate_beyond_float_range_stalls_without_a_warning(tmp_path):
+    # u = v = 1e308 in one cell: the integrals are finite, but the cell's
+    # absorption rate alpha u + beta v and its gradient are not, so the step
+    # bound is 0 and the run stalls at t = 0
+    u = np.ones(16)
+    u[3] = 1e308
+    for name, arr in (("u", u), ("v", u), ("w", np.full(16, 0.5))):
+        write_field_raw(arr, tmp_path / f"{name}.raw")
+    cfg = minimal_config(grid={"lengths": [1.0], "cells": [16]})
+    cfg["initial"] = {name: {"kind": "file", "path": f"{name}.raw"} for name in "uvw"}
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--quiet"])
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["outcome"], manifest["steps"]) == ("stalled", 0)
+    assert manifest["stalled"]["time"] == 0.0
+    (first,) = read_diagnostics_csv(out / "diagnostics.csv")
+    assert first.dirichlet_u == math.inf and first.linf_u == 1e308
 
 
 @pytest.mark.parametrize(

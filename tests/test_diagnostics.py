@@ -134,6 +134,27 @@ def test_lyapunov_monotone_in_u():
     assert lyapunov(State(0.0, u2, st.v, st.w), wf, 1.0, g) > base
 
 
+@pytest.mark.parametrize("chi1, chi2", [(0.5, 1.5), (1.5, 0.5)])
+def test_run_lyapunov_column_weights_u_with_chi1(chi1, chi2):
+    # the column is (1/p) h^n sum u^p phi(chi1 w), whichever chi is larger;
+    # with chi1 = chi2 a run cannot tell the two apart
+    config = replace(
+        reference_scenario((64,), t_end=0.2, scheme="upwind"),
+        params=ModelParams(chi1=chi1, chi2=chi2, alpha=1.0, beta=1.0),
+    )
+    res = run(config)
+    assert res.outcome == "completed"
+    grid, wf = config.grid, res.context.weight
+    first = State(0.0, *config.initial.build(grid))
+    for rec, state in ((res.records[0], first), (res.records[-1], res.final_state)):
+        weighted = [
+            grid.volume_element / wf.p * float(np.sum(state.u**wf.p * wf.phi(chi * state.w)))
+            for chi in (chi1, chi2)
+        ]
+        assert rec.lyapunov == pytest.approx(weighted[0], rel=1e-12)
+        assert abs(weighted[1] - weighted[0]) > 1e-6 * weighted[0]
+
+
 # ------------------------------------------------------------------ record
 
 
@@ -505,20 +526,20 @@ def _frozen_signal_diffuse(ws, fields, decay):
     fields[2] = signal
 
 
-def _no_absorb(ws, fields, tau, params):
+def _no_absorb(ws, fields, tau):
     pass
 
 
-def _signal_source_absorb(ws, fields, tau, params):
+def _signal_source_absorb(ws, fields, tau):
     # a source 2.1 w, just above the mean absorption rate alpha u + beta v = 2:
     # once diffusion has flattened w, its maximum grows again
-    _ABSORB(ws, fields, tau, params)
+    _ABSORB(ws, fields, tau)
     fields[2] *= np.exp(2.1 * tau)
 
 
-def _growing_signal_absorb(ws, fields, tau, params):
+def _growing_signal_absorb(ws, fields, tau):
     # a source 2.5 w after absorbing: max w soon leaves the weight's domain
-    _ABSORB(ws, fields, tau, params)
+    _ABSORB(ws, fields, tau)
     fields[2] *= np.exp(2.5 * tau)
 
 

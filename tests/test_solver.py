@@ -434,16 +434,14 @@ def test_split_generators_sum_to_rhs(opts):
     fields = 1.0 + rng.random((3,) + g.shape)
     fields[2] -= 1.0
     params = ModelParams(1.3, 0.7, 0.9, 1.1)
-    ws = solver._workspace(g)
+    ws = solver._Workspace(g, params, opts)
 
     def diffuse(f, tau):
         ws.diffuse(f, ws.decay_for(tau))
 
     diffusion = _generator(diffuse, fields)
-    absorption = _generator(lambda f, tau: ws.absorb(f, tau, params), fields)
-    chemotaxis = _generator(
-        lambda f, tau: ws.advect(f, tau, params, opts.advection), fields
-    )
+    absorption = _generator(ws.absorb, fields)
+    chemotaxis = _generator(ws.advect, fields)
     expected = np.stack(rhs(State(0.0, *fields), params, g, opts))
     scale = np.abs(expected).max()
     assert np.abs(diffusion + absorption + chemotaxis - expected).max() <= 1e-6 * scale
@@ -475,7 +473,7 @@ def test_diffusion_is_exact_on_eigenmodes(cells):
             rate += -(4.0 / h**2) * math.sin(kk * math.pi / (2 * m)) ** 2
         fields[n] = 2.0 + mode
         expected[n] = 2.0 + math.exp(tau * rate) * mode
-    ws = solver._workspace(g)
+    ws = solver._Workspace(g, PARAMS, CENTRAL)
     ws.diffuse(fields, ws.decay_for(tau))
     np.testing.assert_allclose(fields, expected, rtol=0, atol=1e-14)
 
@@ -674,9 +672,10 @@ def test_step_reads_its_input_and_returns_fresh_arrays(opts):
     first = step(state, stable_dt(state, params, grid, opts), params, grid, opts)
     assert _fields(state) == before
     kept, later = _fields(first), first
-    for _ in range(3):  # the workspace is reused by every later call
-        later = step(later, stable_dt(later, params, grid, opts), params, grid, opts)
-        rhs(later, params, grid, opts)
+    ws = solver._Workspace(grid, params, opts)
+    for _ in range(3):  # one workspace, as in a run, reused by every later call
+        later = ws.step(later, ws.stable_dt(later))
+        ws.rhs(later)
     assert _fields(first) == kept
     arrays = [(s.u, s.v, s.w) for s in (state, first, later)]
     for a, b in itertools.combinations(arrays, 2):
@@ -696,20 +695,20 @@ def _poison(ws):
 
 @pytest.mark.parametrize("opts", [CENTRAL, UPWIND], ids=["central", "upwind"])
 @pytest.mark.parametrize("cells", [(64,), (12, 9), (6, 5, 4)])
-def test_no_call_reads_what_an_earlier_one_left_in_the_workspace(monkeypatch, cells, opts):
+def test_no_call_reads_what_an_earlier_one_left_in_the_workspace(cells, opts):
     config = reference_scenario(cells, scheme=opts.advection)
     grid, params = config.grid, config.params
     state = State(0.0, *config.initial.build(grid))
-    dt = stable_dt(state, params, grid, opts)
+    ws = solver._Workspace(grid, params, opts)
+    dt = ws.stable_dt(state)
     calls = {
-        "stable_dt": lambda: np.float64(stable_dt(state, params, grid, opts)).tobytes(),
-        "step": lambda: _fields(step(state, dt, params, grid, opts)),
-        "rhs": lambda: [a.tobytes() for a in rhs(state, params, grid, opts)],
+        "stable_dt": lambda: np.float64(ws.stable_dt(state)).tobytes(),
+        "step": lambda: _fields(ws.step(state, dt)),
+        "rhs": lambda: [a.tobytes() for a in ws.rhs(state)],
     }
-    monkeypatch.setattr(solver._local, "workspace", None)
     fresh = {name: call() for name, call in calls.items()}  # before any poison
     for name, call in calls.items():
-        _poison(solver._workspace(grid))
+        _poison(ws)
         assert call() == fresh[name], name
 
 
@@ -724,13 +723,15 @@ def test_concurrent_runs_match_runs_one_after_the_other():
     ]
     n = len(configs)
     alone = [run(config) for config in configs]
-    together, leftover = [None] * n, [None] * n
+    together, errors = [None] * n, [None] * n
     barrier = threading.Barrier(n)
 
     def work(i):
-        barrier.wait()
-        together[i] = run(configs[i])
-        leftover[i] = getattr(solver._local, "workspace", None)
+        try:
+            barrier.wait()
+            together[i] = run(configs[i])
+        except Exception as exc:  # reported below, not only as a thread warning
+            errors[i] = exc
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(n)]
     interval = sys.getswitchinterval()
@@ -743,10 +744,10 @@ def test_concurrent_runs_match_runs_one_after_the_other():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+    assert errors == [None] * n
     for a, b in zip(alone, together):
         assert repr(b.records) == repr(a.records)
         assert _fields(b.final_state) == _fields(a.final_state)
-    assert leftover == [None] * n  # a run drops its workspace when it ends
 
 
 def test_run_peak_memory_stays_within_its_peak_before_the_workspace():
