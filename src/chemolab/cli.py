@@ -36,28 +36,33 @@ def write_diagnostics_csv(records, path) -> None:
     """One header row, one row per sample, columns in record-field order.
 
     Values are Python floats in full-precision decimal form (``repr``
-    round-trips them exactly); None is an empty cell.
+    round-trips them exactly); None is an empty cell.  Rows go to the file
+    one at a time and the text is never held whole: a run holds only its
+    records (about 0.5 KB per sample) and one block of samples.
     """
     row = operator.attrgetter(*RECORD_FIELDS)
-    lines = [",".join(RECORD_FIELDS)]
-    for rec in records:
-        lines.append(",".join(["" if x is None else repr(x) for x in row(rec)]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with Path(path).open("w") as f:
+        f.write(",".join(RECORD_FIELDS) + "\n")
+        f.writelines(
+            ",".join(["" if x is None else repr(x) for x in row(rec)]) + "\n"
+            for rec in records
+        )
 
 
 def read_diagnostics_csv(path) -> list[DiagnosticsRecord]:
-    """Inverse of :func:`write_diagnostics_csv` (round-trip exact)."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].split(",") != list(RECORD_FIELDS):
-        raise ValueError(f"{path} is not a diagnostics CSV")
-    out = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        kwargs = {
-            name: (None if cell == "" else float(cell))
-            for name, cell in zip(RECORD_FIELDS, cells)
-        }
-        out.append(DiagnosticsRecord(**kwargs))
+    """Inverse of :func:`write_diagnostics_csv` (round-trip exact), read one
+    line at a time."""
+    with Path(path).open() as f:
+        if f.readline().rstrip("\n").split(",") != list(RECORD_FIELDS):
+            raise ValueError(f"{path} is not a diagnostics CSV")
+        out = []
+        for line in f:
+            cells = line.rstrip("\n").split(",")
+            kwargs = {
+                name: (None if cell == "" else float(cell))
+                for name, cell in zip(RECORD_FIELDS, cells)
+            }
+            out.append(DiagnosticsRecord(**kwargs))
     return out
 
 

@@ -46,7 +46,7 @@ _DECAY_WINDOW_FRACTION = 0.5  # trailing share of the samples fit_decay uses
 _TINY = np.finfo(float).tiny  # smallest normal float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiagnosticsRecord:
     """One time-sample of every tracked scalar quantity.
 

@@ -1,9 +1,11 @@
+import gc
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from hypothesis import strategies as hst
 from chemolab import model, solver
 from chemolab.cli import main, read_diagnostics_csv, write_diagnostics_csv
 from chemolab.config import ConfigError, config_digest, config_to_dict, parse_config
+from chemolab.diagnostics import RECORD_FIELDS, DiagnosticsRecord
 from chemolab.model import FileInit, Grid, write_field_raw
 from chemolab.solver import run
 
@@ -342,6 +345,77 @@ def test_diagnostics_csv_round_trip(tmp_path):
     write_diagnostics_csv(result.records, path)
     back = read_diagnostics_csv(path)
     assert tuple(back) == result.records  # repr round-trip is exact
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308,
+                math.inf, -math.inf, math.nan]
+_ANY_FLOAT = hst.sampled_from(_EDGE_FLOATS) | hst.floats()
+_RECORDS = hst.lists(
+    hst.builds(
+        DiagnosticsRecord,
+        *(hst.none() | _ANY_FLOAT if name == "lyapunov" else _ANY_FLOAT
+          for name in RECORD_FIELDS),
+    ),
+    max_size=50,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=_RECORDS)
+def test_diagnostics_csv_bytes_and_round_trip_for_any_floats(tmp_path_factory, records):
+    # the format, built here as one joined text, independently of the writer
+    rows = [",".join("" if x is None else repr(x)
+                     for x in (getattr(rec, name) for name in RECORD_FIELDS))
+            for rec in records]
+    expected = "\n".join([",".join(RECORD_FIELDS), *rows]) + "\n"
+    path = tmp_path_factory.mktemp("csv") / "diagnostics.csv"
+    write_diagnostics_csv(records, path)
+    assert path.read_bytes() == expected.encode()
+    # repr, not ==, so a NaN and the sign of -0.0 are compared too
+    assert repr(read_diagnostics_csv(path)) == repr(records)
+
+
+def test_diagnostics_csv_writer_holds_no_more_than_a_row(tmp_path):
+    # Joining the rows of these 6,000 records into one text took 4.7 MB.
+    records = [DiagnosticsRecord(*(i + k / 7.0 for k in range(len(RECORD_FIELDS))))
+               for i in range(6000)]
+    tracemalloc.start()
+    try:
+        write_diagnostics_csv(records, tmp_path / "diagnostics.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
+def test_cmd_run_peak_memory_holds_the_records_but_not_their_text(tmp_path):
+    # 1-D, 16 cells, 3,001 samples.  Traced peaks: 4.59 MB while the CSV
+    # text was joined in memory, 2.56 MB with rows streamed to the file and
+    # slotted records.
+    cosine = {"kind": "cosine_bump", "modes": [1]}
+    cfg = minimal_config(
+        grid={"lengths": [1.0], "cells": [16]},
+        initial={
+            "u": {**cosine, "base": 1.0, "amplitude": 0.5},
+            "v": {**cosine, "base": 1.0, "amplitude": 0.25},
+            "w": {**cosine, "base": 0.25, "amplitude": 0.25},
+        },
+        time={"t_end": 3.0},
+        output={"every": 0.001},
+    )
+    argv = ["run", "--config", str(write_config(tmp_path, cfg)),
+            "--out", str(tmp_path / "out"), "--quiet"]
+    assert main(argv) == 0  # warm-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 3_500_000
 
 
 # ----------------------------------------------------------------- cmd: run
