@@ -80,7 +80,8 @@ def refinement_study(config: ScenarioConfig, levels: int = 3) -> RefinementStudy
 
     Runs the scenario on the config grid and on (levels-1) successive 2x
     refinements and reports the per-field distances between consecutive
-    levels and their observed orders.  An order needs three levels.
+    levels and their observed orders.  An order needs three levels and
+    distances above 0; ``ValueError`` otherwise.
     """
     if levels < 3:
         raise ValueError(f"need at least 3 refinement levels for an order, got {levels}")
@@ -92,6 +93,11 @@ def refinement_study(config: ScenarioConfig, levels: int = 3) -> RefinementStudy
         for level in cells
     ]
     errors = self_differences(runs, base)
+    zero = [(name, k) for k, dist in enumerate(errors) for name in FIELDS if dist[name] == 0.0]
+    if zero:  # a distance of 0 has no log
+        name, k = zero[0]
+        raise ValueError(f"the {name} distance between refinement levels {cells[k]} and "
+                         f"{cells[k + 1]} is 0, which gives no order")
     orders = [
         {name: math.log2(coarse[name] / fine[name]) for name in FIELDS}
         for coarse, fine in zip(errors, errors[1:])

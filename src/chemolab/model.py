@@ -286,7 +286,8 @@ def validate_initial_data(u0, v0, w0, grid: Grid) -> ValidatedInitialData:
 
     u0 and v0 must be strictly positive, w0 nonnegative, all finite and
     sized to the grid, and the integrals of u0, v0 and w0^2 (cell volume
-    times cell sum, as the diagnostics take them) within float range.
+    times cell sum, as the diagnostics take them) within float range, those
+    of u0 and v0 not rounded to 0.
     Returns the triple unchanged together with the recorded means, the sup
     of w0 and the integral of w0^2.  Idempotent.
     """
@@ -324,6 +325,8 @@ def validate_initial_data(u0, v0, w0, grid: Grid) -> ValidatedInitialData:
     for name, value in integrals.items():
         if not math.isfinite(value):
             raise ValueError(f"the integral of {name} is beyond float range")
+        if value == 0.0 and name != "w0^2":  # the mass checks divide by it
+            raise ValueError(f"the integral of {name} underflows to 0")
     for arr in (u, v, w):
         arr.flags.writeable = False
     return ValidatedInitialData(

@@ -28,9 +28,7 @@ that bound.
 
 :func:`run` steps with one :class:`_Workspace`, the run's stepper: it holds
 the run's parameters and scheme options and what every step would
-otherwise rebuild (the DCT scratch and plans, the chemotaxis stage and rate
-buffers, one set of face buffers and the decay factors), and the operators
-work in place in it.  The public rhs, stable_dt and step each build a
+otherwise rebuild, and the operators work in place in it.  The public rhs, stable_dt and step each build a
 throwaway one, so they act as pure functions: their input is only read,
 and the arrays they return are fresh and never written again.
 """
@@ -151,42 +149,68 @@ def _face_density(
 # ------------------------------------------------------- split operators
 
 
-def _axis_basis(m: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal DCT-II of one axis of m cells of width h, split by parity.
+class _Axis:
+    """One axis of a :class:`_Workspace`, m cells of width h: its DCT plan
+    with the views of ``scratch`` it uses, the zero-flux Laplacian's
+    eigenvalues along it (``eig``), its face slices and h^2, and its views
+    of the shared face buffers and of ``rate``.
 
-    Even modes are symmetric under the reflection i -> m-1-i and odd modes
+    The plan is the orthonormal DCT-II of the axis, split by parity.  Even
+    modes are symmetric under the reflection i -> m-1-i and odd modes
     antisymmetric.  With q = ceil(m/2) and r = floor(m/2), the even
     coefficients are ``even @ s`` for the pair sums s_i = x_i + x_{m-1-i}
     (i < r, then the middle cell when m is odd) and the odd ones ``odd @ d``
     for the pair differences; the inverse rebuilds x_i and x_{m-1-i} as the
     sum and the difference of ``even.T @ E`` and ``odd.T @ O``.  A field
     symmetric under the reflection thus has exactly zero odd coefficients
-    and comes back exactly symmetric.
-
-    Returns (even, odd, eig): the q x q and r x r matrices (``odd`` is
-    symmetric), and the eigenvalues -(4/h^2) sin^2(pi k / (2m)) of the
-    zero-flux Laplacian in the spectral layout along the axis, even modes
-    first.
+    and comes back exactly symmetric.  ``even`` is q x q, ``odd`` is r x r
+    and symmetric, and ``eig`` holds -(4/h^2) sin^2(pi k / (2m)) in the
+    spectral layout along the axis, even modes first.
     """
-    q, r = (m + 1) // 2, m // 2
-    modes = np.concatenate([np.arange(0, m, 2), np.arange(1, m, 2)])
-    # cos(pi k (2i+1) / (2m)), the angle reduced exactly (whole floats)
-    basis = np.multiply.outer(modes, 2 * np.arange(q) + 1, dtype=float)
-    np.remainder(basis, 4 * m, out=basis)
-    basis *= np.pi / (2 * m)
-    np.cos(basis, out=basis)
-    basis *= math.sqrt(2.0 / m)
-    basis[0] *= math.sqrt(0.5)
-    even, odd = basis[:q].copy(), basis[q:, :r].copy()
-    eig = -(4.0 / (h * h)) * np.sin(modes * (np.pi / (2 * m))) ** 2
-    return even, odd, eig
 
+    __slots__ = ("q", "r", "view", "mirror", "right", "forward", "backward", "y_even",
+                 "y_odd", "y_lo", "y_mid", "eig", "lo", "hi", "lo2", "hi2", "h2",
+                 "dw", "up", "flux", "rate_lo", "rate_hi")
 
-class _Face:
-    """One axis's face geometry and its share of the workspace's face
-    buffers; ``dw``, ``up`` and ``flux`` alias those of every other axis."""
+    def __init__(self, axis: int, grid: Grid, scratch: np.ndarray, rate: np.ndarray,
+                 dw: np.ndarray, up: np.ndarray, flux: np.ndarray):
+        m, h, dim = grid.cells[axis], grid.spacing[axis], grid.dim
+        self.q, self.r = q, r = (m + 1) // 2, m // 2
+        self.h2 = h * h
+        modes = np.concatenate([np.arange(0, m, 2), np.arange(1, m, 2)])
+        # cos(pi k (2i+1) / (2m)), the angle reduced exactly (whole floats)
+        basis = np.multiply.outer(modes, 2 * np.arange(q) + 1, dtype=float)
+        np.remainder(basis, 4 * m, out=basis)
+        basis *= np.pi / (2 * m)
+        np.cos(basis, out=basis)
+        basis *= math.sqrt(2.0 / m)
+        basis[0] *= math.sqrt(0.5)
+        even, odd = basis[:q].copy(), basis[q:, :r].copy()
+        eig = -(4.0 / self.h2) * np.sin(modes * (np.pi / (2 * m))) ** 2
+        self.eig = eig.reshape((m,) + (1,) * (dim - 1 - axis))
+        post = math.prod(grid.cells[axis + 1 :])
+        self.right = post == 1  # transformed by a right product, x @ mat.T
+        self.view = (-1, m) if self.right else (-1, m, post)
+        if self.right:  # which BLAS reads fastest as a transposed view
+            self.forward, self.backward = (even.T, odd.T), (even.T.copy().T, odd.T)
+        else:  # a left product broadcast over the axes before it
+            self.forward, self.backward = (even, odd), (even.T, odd.T)
+        self.mirror = slice(m - 1, q - 1, -1)  # cells m-1 .. m-r, partners of 0 .. r-1
+        y = scratch.reshape(self.view)
+        self.y_even, self.y_odd, self.y_lo = y[:, :q], y[:, q:], y[:, :r]
+        self.y_mid = y[:, r] if q > r else None  # the middle cell pairs with itself
+        self.lo, self.hi = _lo(axis, dim), _hi(axis, dim)
+        self.lo2, self.hi2 = _lo(axis + 1, dim + 1), _hi(axis + 1, dim + 1)
+        shape = grid.cells[:axis] + (m - 1,) + grid.cells[axis + 1 :]
+        n = math.prod(shape)
+        self.dw, self.up = dw[:n].reshape(shape), up[:n].reshape(shape)
+        self.flux = flux[: 2 * n].reshape((2,) + shape)
+        self.rate_lo, self.rate_hi = rate[self.lo], rate[self.hi]
 
-    __slots__ = ("lo", "hi", "lo2", "hi2", "h2", "dw", "up", "flux", "rate_lo", "rate_hi")
+    def product(self, mat: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+        """``x @ mat`` into ``out`` in the right layout, ``mat @ x`` in the left."""
+        a, b = (x, mat) if self.right else (mat, x)
+        np.matmul(a, b, out=out)
 
 
 class _Workspace:
@@ -196,17 +220,15 @@ class _Workspace:
     * ``scratch``, three fields: the DCT's second buffer in D, the two
       exponents of R, and A's Heun stage (``stage``, u and v) and face
       rate (``rate``, w's row);
+    * ``mean``, each field's mean in D;
     * ``decay``, exp(tau * eigenvalue) for the tau of :meth:`decay_for`'s
       last call;
-    * per axis, the DCT plan with the views of ``scratch`` it uses, the
-      zero-flux Laplacian's eigenvalues along the axis (``eigs``), and a
-      :class:`_Face`: the face slices, the views of ``rate`` and the
-      face buffers;
     * one set of face buffers, sized for the axis with the most faces and
       shared by all axes: the signal difference ``dw`` (|dw| in
       :meth:`face_rate`), the upwind mask ``up`` (dw > 0) and the flux of
       both species.  A method that reads them fills them first, so no call
-      depends on what an earlier one left.
+      depends on what an earlier one left;
+    * ``axes``, one :class:`_Axis` per axis, in axis order.
 
     The operators work in place on a stacked (3, *grid.shape) array of u,
     v and w.  :meth:`step` makes that array fresh every step, because it is
@@ -222,37 +244,11 @@ class _Workspace:
         self.rows = tuple(self.scratch)
         self.mean = np.empty((3, 1))
         self.decay, self.tau = np.empty(grid.shape), None
-        self.eigs, self.plans = [], []
-        for axis, (m, h) in enumerate(zip(grid.cells, grid.spacing)):
-            even, odd, eig = _axis_basis(m, h)
-            self.eigs.append(eig.reshape((m,) + (1,) * (grid.dim - 1 - axis)))
-            post = math.prod(grid.cells[axis + 1 :])
-            right = post == 1  # transformed by a right product, x @ mat.T
-            if right:  # which BLAS reads fastest as a transposed view
-                view, forward, inverse = (-1, m), (even.T, odd.T), (even.T.copy().T, odd.T)
-            else:  # a left product broadcast over the axes before it
-                view, forward, inverse = (-1, m, post), (even, odd), (even.T, odd.T)
-            q, r = (m + 1) // 2, m // 2
-            mirror = slice(m - 1, q - 1, -1)  # cells m-1 .. m-r, partners of 0 .. r-1
-            y = self.scratch.reshape(view)
-            middle = y[:, r] if q > r else None  # the middle cell pairs with itself
-            self.plans.append((view, q, r, mirror, right, forward, inverse,
-                               y[:, :q], y[:, q:], y[:, :r], middle))
-        dim = grid.dim
-        shapes = [tuple(m - (k == axis) for k, m in enumerate(grid.cells))
-                  for axis in range(dim)]
-        most = max(math.prod(shape) for shape in shapes)
+        cells = math.prod(grid.cells)
+        most = cells - cells // max(grid.cells)  # faces along the axis of most cells
         dw, up, flux = np.empty(most), np.empty(most, bool), np.empty(2 * most)
-        self.faces = []
-        for axis, (shape, h) in enumerate(zip(shapes, grid.spacing)):
-            face, n = _Face(), math.prod(shape)
-            face.lo, face.hi = _lo(axis, dim), _hi(axis, dim)
-            face.lo2, face.hi2 = _lo(axis + 1, dim + 1), _hi(axis + 1, dim + 1)
-            face.h2 = h * h
-            face.dw, face.up = dw[:n].reshape(shape), up[:n].reshape(shape)
-            face.flux = flux[: 2 * n].reshape((2,) + shape)
-            face.rate_lo, face.rate_hi = self.rate[face.lo], self.rate[face.hi]
-            self.faces.append(face)
+        self.axes = [_Axis(axis, grid, self.scratch, self.rate, dw, up, flux)
+                     for axis in range(grid.dim)]
 
     def decay_for(self, tau: float) -> np.ndarray:
         """exp(tau * eigenvalue), a mode's eigenvalue the sum of its per-axis
@@ -260,8 +256,8 @@ class _Workspace:
         if tau != self.tau:
             decay = self.decay
             decay.fill(0.0)
-            for eig in self.eigs:
-                decay += eig
+            for axis in self.axes:
+                decay += axis.eig
             decay *= tau
             np.exp(decay, out=decay)
             self.tau = tau
@@ -270,35 +266,25 @@ class _Workspace:
     def _dct(self, fields: np.ndarray, inverse: bool) -> None:
         """DCT-II of the stacked ``fields`` along each axis in turn, or its
         inverse, in place."""
-        for view, q, r, mirror, right, forward, backward, y_even, y_odd, y_lo, y_mid in (
-            self.plans
-        ):
-            x = fields.reshape(view)
-            lo, hi, x_even, x_odd = x[:, :r], x[:, mirror], x[:, :q], x[:, q:]
+        for axis in self.axes:
+            x, q, r, y_mid = fields.reshape(axis.view), axis.q, axis.r, axis.y_mid
+            lo, hi, x_even, x_odd = x[:, :r], x[:, axis.mirror], x[:, :q], x[:, q:]
             if inverse:
-                even, odd = backward
-                if right:
-                    np.matmul(x_even, even, out=y_even)
-                    np.matmul(x_odd, odd, out=y_odd)
-                else:
-                    np.matmul(even, x_even, out=y_even)
-                    np.matmul(odd, x_odd, out=y_odd)
-                np.add(y_lo, y_odd, out=lo)
-                np.subtract(y_lo, y_odd, out=hi)
+                even, odd = axis.backward
+                axis.product(even, x_even, axis.y_even)
+                axis.product(odd, x_odd, axis.y_odd)
+                np.add(axis.y_lo, axis.y_odd, out=lo)
+                np.subtract(axis.y_lo, axis.y_odd, out=hi)
                 if y_mid is not None:
                     x[:, r] = y_mid
             else:
-                np.add(lo, hi, out=y_lo)
-                np.subtract(lo, hi, out=y_odd)
+                np.add(lo, hi, out=axis.y_lo)
+                np.subtract(lo, hi, out=axis.y_odd)
                 if y_mid is not None:
                     y_mid[...] = x[:, r]
-                even, odd = forward
-                if right:
-                    np.matmul(y_even, even, out=x_even)
-                    np.matmul(y_odd, odd, out=x_odd)
-                else:
-                    np.matmul(even, y_even, out=x_even)
-                    np.matmul(odd, y_odd, out=x_odd)
+                even, odd = axis.forward
+                axis.product(even, axis.y_even, x_even)
+                axis.product(odd, axis.y_odd, x_odd)
 
     def diffuse(self, fields: np.ndarray, decay: np.ndarray) -> None:
         """D: exact diffusion in place; ``decay`` is exp(tau * eigenvalue)
@@ -330,17 +316,17 @@ class _Workspace:
         the cell's faces with chi = max(chi1, chi2), to ``rate`` and return
         it: the one bound behind :meth:`stable_dt` and the chemotaxis
         substeps."""
-        for face in self.faces:
-            scale = self.chi / face.h2
+        for axis in self.axes:
+            scale = self.chi / axis.h2
             if scale == math.inf:  # no number bounds the step; skip 0 * inf's warning
                 self.rate.fill(math.nan)
                 break
-            rate = face.dw
-            np.subtract(w[face.hi], w[face.lo], out=rate)
+            rate = axis.dw
+            np.subtract(w[axis.hi], w[axis.lo], out=rate)
             np.abs(rate, out=rate)
             rate *= scale
-            face.rate_lo += rate
-            face.rate_hi += rate
+            axis.rate_lo += rate
+            axis.rate_hi += rate
         return self.rate
 
     def transport(self, dens: np.ndarray, w: np.ndarray, out: np.ndarray, dt: float) -> None:
@@ -348,14 +334,14 @@ class _Workspace:
         densities ``dens`` (species first) to ``out`` (dt = 1 in :meth:`rhs`)."""
         params, scheme = self.params, self.scheme.advection
         upwind = scheme == "upwind"
-        for face in self.faces:
-            tau = dt / face.h2
-            np.subtract(w[face.hi], w[face.lo], out=face.dw)
+        for axis in self.axes:
+            tau = dt / axis.h2
+            np.subtract(w[axis.hi], w[axis.lo], out=axis.dw)
             if upwind:
-                np.greater(face.dw, 0.0, out=face.up)
-            lo, hi = face.lo2, face.hi2
-            flux = _face_density(dens[lo], dens[hi], face.up, scheme, face.flux)
-            flux *= face.dw
+                np.greater(axis.dw, 0.0, out=axis.up)
+            lo, hi = axis.lo2, axis.hi2
+            flux = _face_density(dens[lo], dens[hi], axis.up, scheme, axis.flux)
+            flux *= axis.dw
             flux[0] *= params.chi1 * tau
             flux[1] *= params.chi2 * tau
             out_lo, out_hi = out[lo], out[hi]
@@ -390,11 +376,11 @@ class _Workspace:
         params = self.params
         fields = np.concatenate((state.u, state.v, state.w)).reshape(self.stacked)
         out = np.zeros_like(fields)
-        for face in self.faces:
-            flux = fields[face.hi2] - fields[face.lo2]
-            flux /= face.h2
-            out[face.lo2] += flux
-            out[face.hi2] -= flux
+        for axis in self.axes:
+            flux = fields[axis.hi2] - fields[axis.lo2]
+            flux /= axis.h2
+            out[axis.lo2] += flux
+            out[axis.hi2] -= flux
         self.transport(fields[:2], fields[2], out[:2], 1.0)
         out[2] -= (params.alpha * state.u + params.beta * state.v) * state.w
         return out[0], out[1], out[2]
@@ -600,14 +586,18 @@ def run(config: ScenarioConfig) -> RunResult:
                 target = t_end
             while state.t < target:
                 dt_stable = ws.stable_dt(state)
-                if not dt_stable >= _DT_FLOOR:  # NaN: a face rate beyond float range
-                    why = ("the step bound is not a number" if math.isnan(dt_stable)
-                           else f"stability requires dt < {_DT_FLOOR}")
+                remaining = target - state.t
+                landed = dt_stable >= remaining
+                if not (landed or dt_stable >= _DT_FLOOR):  # a landing step needs no floor
+                    if math.isnan(dt_stable):  # a face rate beyond float range
+                        why = "the step bound is not a number"
+                    elif dt_stable == ws.scheme.dt_max:
+                        why = f"time.dt_max = {dt_stable} is below the step floor {_DT_FLOOR}"
+                    else:
+                        why = f"stability requires dt < {_DT_FLOOR}"
                     raise SolverError(
                         f"{why} at t={state.t}; giving up", state.t, value=dt_stable
                     )
-                remaining = target - state.t
-                landed = dt_stable >= remaining
                 dt = remaining if landed else dt_stable
                 state = ws.step(state, dt)
                 steps += 1

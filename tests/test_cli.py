@@ -647,6 +647,38 @@ def test_cmd_run_step_bound_that_is_not_a_number_stalls(tmp_path, capsys, chi1, 
     assert "stability requires" not in printed
 
 
+def _floor_config(time):
+    cfg = minimal_config(grid={"lengths": [1.0], "cells": [16]}, time=time)
+    cfg["initial"]["w"] = {"kind": "cosine_bump", "base": 0.25, "amplitude": 0.25}
+    return cfg
+
+
+def test_cmd_run_with_t_end_below_the_step_floor_completes(tmp_path):
+    # dt_max is lowered to t_end, below the 1e-15 floor, but every step
+    # lands on an output time
+    out = tmp_path / "out"
+    cfg = _floor_config({"t_end": 1e-16})
+    code = main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--quiet"])
+    assert code in (0, 2)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["outcome"], manifest["steps"]) == ("completed", 200)
+    rows = read_diagnostics_csv(out / "diagnostics.csv")
+    assert len(rows) == 201 and rows[-1].t == 1e-16
+
+
+def test_cmd_run_with_dt_max_below_the_step_floor_names_it(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _floor_config({"t_end": 1.0, "dt_max": 1e-16})
+    code = main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["outcome"], manifest["steps"]) == ("stalled", 0)
+    assert manifest["stalled"]["value"] == 1e-16
+    printed = capsys.readouterr().out
+    assert "run ended early (stalled): time.dt_max = 1e-16 is below the step floor" in printed
+    assert "stability requires" not in printed
+
+
 def test_cmd_run_with_a_gaussian_wider_than_float_range(tmp_path):
     cfg = minimal_config(grid={"lengths": [1.0], "cells": [16]})
     cfg["initial"]["u"] = {
@@ -893,6 +925,18 @@ def test_cmd_run_refuses_initial_integrals_beyond_float_range(tmp_path, capsys, 
     code = main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--quiet"])
     assert code == 1
     assert capsys.readouterr().err == f"error: the integral of {field} is beyond float range\n"
+    assert not (out / "diagnostics.csv").exists()
+
+
+@pytest.mark.parametrize("field", ["u", "v"])
+def test_cmd_run_refuses_an_initial_integral_that_underflows_to_zero(tmp_path, capsys, field):
+    # every cell is positive, the integral over the 1e-150 box is not
+    cfg = minimal_config(grid={"lengths": [1e-150], "cells": [16]})
+    cfg["initial"][field]["value"] = 1e-300
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: the integral of {field}0 underflows to 0\n"
     assert not (out / "diagnostics.csv").exists()
 
 
@@ -1161,3 +1205,14 @@ def test_cmd_convergence_level_ending_early_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: refinement level (8,) ended early (blowup): ")
     assert "Traceback" not in err
+
+
+def test_cmd_convergence_levels_that_agree_exactly_exit_one(tmp_path, capsys):
+    # constant fields stay exactly constant on every level
+    cfg = minimal_config(grid={"lengths": [1.0], "cells": [8]}, time={"t_end": 0.5})
+    code = main(["convergence", "--config", str(write_config(tmp_path, cfg))])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: the u distance between refinement levels (8,) and (16,) is 0, "
+        "which gives no order\n"
+    )

@@ -687,10 +687,10 @@ def _poison(ws):
     cache keyed by its tau and stays."""
     ws.scratch.fill(np.nan)
     ws.mean.fill(np.nan)
-    for face in ws.faces:
-        face.dw.fill(np.nan)
-        face.flux.fill(np.nan)
-        face.up.fill(True)
+    for axis in ws.axes:
+        axis.dw.fill(np.nan)
+        axis.flux.fill(np.nan)
+        axis.up.fill(True)
 
 
 @pytest.mark.parametrize("opts", [CENTRAL, UPWIND], ids=["central", "upwind"])

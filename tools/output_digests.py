@@ -3,7 +3,8 @@
 Runs the README's scenario config and the benchmark workloads (seed 7)
 through ``chemolab run --quiet`` in a temporary directory and prints one
 line per output: the sha256 of ``diagnostics.csv``, ``verification.json``
-and ``final_{u,v,w}.raw``, then the manifest's ``config_digest``.  A
+and ``final_{u,v,w}.raw``, then the manifest's ``config_digest``.  Exits
+1, naming the run and its exit code, when a run does not complete.  A
 refactor that leaves the numerics alone must leave every line unchanged;
 run this before and after and compare.
 
@@ -48,7 +49,9 @@ def main() -> None:
             configs[name] = generate(name, SEED, tmp / name)
         for name, config in configs.items():
             out = tmp / name / "out"
-            cli.main(["run", "--config", str(config), "--out", str(out), "--quiet"])
+            code = cli.main(["run", "--config", str(config), "--out", str(out), "--quiet"])
+            if code not in (0, 2):  # 2: completed, a verification check failed
+                sys.exit(f"{name}: chemolab run exited {code}")
             for fname in OUTPUTS:
                 if (out / fname).exists():
                     digest = hashlib.sha256((out / fname).read_bytes()).hexdigest()
