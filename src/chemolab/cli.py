@@ -51,18 +51,20 @@ def write_diagnostics_csv(records, path) -> None:
 
 def read_diagnostics_csv(path) -> list[DiagnosticsRecord]:
     """Inverse of :func:`write_diagnostics_csv` (round-trip exact), read one
-    line at a time."""
+    line at a time; a row with the wrong number of cells raises
+    ``ValueError`` naming the file and its line."""
     with Path(path).open() as f:
         if f.readline().rstrip("\n").split(",") != list(RECORD_FIELDS):
             raise ValueError(f"{path} is not a diagnostics CSV")
         out = []
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             cells = line.rstrip("\n").split(",")
-            kwargs = {
-                name: (None if cell == "" else float(cell))
-                for name, cell in zip(RECORD_FIELDS, cells)
-            }
-            out.append(DiagnosticsRecord(**kwargs))
+            if len(cells) != len(RECORD_FIELDS):
+                raise ValueError(
+                    f"{path} line {lineno}: {len(cells)} cells, "
+                    f"expected {len(RECORD_FIELDS)}"
+                )
+            out.append(DiagnosticsRecord(*(float(c) if c else None for c in cells)))
     return out
 
 

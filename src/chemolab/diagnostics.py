@@ -63,7 +63,7 @@ class DiagnosticsRecord:
     dev_u: float  # ||u - ubar0||_inf
     dev_v: float
     lyapunov: float | None  # (1/p) int u^p phi(chi1 w); None: no weight, not finite,
-    # or w outside the weight's domain
+    # or chi1 max w beyond m + chi1 * _ENVELOPE_TOL (record_block)
     dirichlet_u: float  # int |grad u|^2 at time t
     dirichlet_v: float
     dirichlet_w: float
@@ -130,12 +130,14 @@ def dirichlet_energy(field: np.ndarray, grid: Grid) -> float:
 
 
 def _weighted_lp(
-    u: np.ndarray, w: np.ndarray, wf: WeightFunction, chi: float, grid: Grid
+    u: np.ndarray, s: np.ndarray, wf: WeightFunction, grid: Grid
 ) -> np.ndarray:
-    """(1/p) int u^p phi(chi * w) of each sample stacked along the first axis
-    of u and w, whose signals lie in the weight's domain; inf beyond float
-    range."""
-    phi = wf.phi(chi * w)
+    """(1/p) int u^p phi(s) of each sample stacked along the first axis of u
+    and of the weight's argument s; inf beyond float range.
+
+    Raises ``ValueError`` when s leaves the weight's domain [0, m].
+    """
+    phi = wf.phi(s)
     with np.errstate(over="ignore", invalid="ignore"):  # u**p beyond float range
         integrand = u**wf.p
         integrand *= phi
@@ -146,9 +148,10 @@ def _weighted_lp(
 def lyapunov(state: State, wf: WeightFunction, chi: float, grid: Grid) -> float:
     """Weighted L^p value (1/p) int u^p phi(chi * w); inf beyond float range.
 
-    Raises ``ValueError`` when chi * w leaves the weight's domain [0, m].
+    Raises ``ValueError`` when chi * w leaves the weight's domain [0, m],
+    by any margin: unlike :func:`record_block`, it grants no tolerance.
     """
-    return float(_weighted_lp(state.u[None], state.w[None], wf, chi, grid)[0])
+    return float(_weighted_lp(state.u[None], chi * state.w[None], wf, grid)[0])
 
 
 def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
@@ -166,38 +169,37 @@ def record_block(
     is one), and every quantity is computed from these three stacks, one
     array operation per field.  Each sum runs along one field of one
     sample, as it would for that sample alone: the records equal those of
-    :func:`record`, sample by sample, bit for bit.  A sample whose signal
-    has left the weight's domain (chi1 * max w > m, which only a faulty
-    solver reaches) gets no weighted L^p value, so a block never raises.
+    :func:`record`, sample by sample, bit for bit.  The weighted L^p value
+    uses phi(min(chi1 w, m)) and is kept where it is finite and chi1 * max w
+    <= m + chi1 * ``_ENVELOPE_TOL``, the rounding ``signal_envelope`` grants
+    w; elsewhere it is None, so a block never raises.
     """
     grid, n = ctx.grid, len(states)
     u, v, w = (_stacked([getattr(s, name) for s in states]) for name in "uvw")
     highs = [np.maximum.reduce(f.reshape(n, -1), axis=1) for f in (u, v, w)]
     lows = [np.minimum.reduce(f.reshape(n, -1), axis=1) for f in (u, v, w)]
+    wf, chi = ctx.weight, ctx.params.chi1
+    if wf is None:
+        lyaps = np.full(n, None)
+    else:
+        s = chi * w
+        values = _weighted_lp(u, np.minimum(s, wf.m, out=s), wf, grid)
+        kept = (chi * highs[2] <= wf.m + chi * _ENVELOPE_TOL) & np.isfinite(values)
+        lyaps = np.where(kept, values, None)
     # max |f - c| is max(max f - c, c - min f): rounding is monotone, so this
     # is the same float without a field-sized temporary
     means = (ctx.ubar0, ctx.vbar0)
-    columns = [
+    columns = [  # the record's fields after t and before the cumulatives
         _integrals(u, grid),
         _integrals(v, grid),
         *(np.maximum(hi, -lo) for hi, lo in zip(highs, lows)),
         *(np.maximum(hi - c, c - lo) for hi, lo, c in zip(highs, lows, means)),
+        lyaps,
         *(_dirichlet_energies(f, grid) for f in (u, v, w)),
     ]
-    lyaps = [None] * n
-    wf, chi = ctx.weight, ctx.params.chi1
-    if wf is not None:
-        inside = chi * highs[2] <= wf.m
-        rows = np.flatnonzero(inside).tolist()
-        if len(rows) < n:
-            u, w = u[inside], w[inside]
-        values = _weighted_lp(u, w, wf, chi, grid).tolist() if rows else []
-        for i, value in zip(rows, values):
-            if math.isfinite(value):  # beyond float range: an empty cell
-                lyaps[i] = value
     out = []
-    for state, lyap, *row in zip(states, lyaps, *(c.tolist() for c in columns)):
-        mass_u, mass_v, linf_u, linf_v, linf_w, dev_u, dev_v, du, dv, dw = row
+    for state, *row in zip(states, *(c.tolist() for c in columns)):
+        du, dv, dw = row[-3:]
         if prev is None:
             cums = (0.0, 0.0, 0.0)
         else:
@@ -207,23 +209,7 @@ def record_block(
                 prev.cum_dirichlet_v + half_dt * (prev.dirichlet_v + dv),
                 prev.cum_dirichlet_w + half_dt * (prev.dirichlet_w + dw),
             )
-        prev = DiagnosticsRecord(
-            t=float(state.t),
-            mass_u=mass_u,
-            mass_v=mass_v,
-            linf_u=linf_u,
-            linf_v=linf_v,
-            linf_w=linf_w,
-            dev_u=dev_u,
-            dev_v=dev_v,
-            lyapunov=lyap,
-            dirichlet_u=du,
-            dirichlet_v=dv,
-            dirichlet_w=dw,
-            cum_dirichlet_u=cums[0],
-            cum_dirichlet_v=cums[1],
-            cum_dirichlet_w=cums[2],
-        )
+        prev = DiagnosticsRecord(float(state.t), *row, *cums)
         out.append(prev)
     return out
 

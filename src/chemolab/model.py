@@ -102,7 +102,7 @@ class Grid:
     def dim(self) -> int:
         return len(self.lengths)
 
-    @cached_property  # read on every face-flux evaluation
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / m for L, m in zip(self.lengths, self.cells))
 

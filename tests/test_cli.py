@@ -376,6 +376,21 @@ def test_diagnostics_csv_bytes_and_round_trip_for_any_floats(tmp_path_factory, r
     assert repr(read_diagnostics_csv(path)) == repr(records)
 
 
+@pytest.mark.parametrize("extra", [1, -1], ids=["one_cell_more", "one_cell_fewer"])
+def test_read_diagnostics_csv_refuses_a_row_of_the_wrong_width(tmp_path, extra):
+    from tests.conftest import homogeneous_scenario
+
+    path = tmp_path / "diag.csv"
+    write_diagnostics_csv(run(homogeneous_scenario(t_end=0.01)).records, path)
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[2].rstrip("\n").split(",")
+    cells = cells + ["1.0"] if extra > 0 else cells[:-1]
+    lines[2] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"diag.csv line 3: {15 + extra} cells, expected 15"):
+        read_diagnostics_csv(path)
+
+
 def test_diagnostics_csv_writer_holds_no_more_than_a_row(tmp_path):
     # Joining the rows of these 6,000 records into one text took 4.7 MB.
     records = [DiagnosticsRecord(*(i + k / 7.0 for k in range(len(RECORD_FIELDS))))
@@ -664,6 +679,22 @@ def test_cmd_run_with_t_end_below_the_step_floor_completes(tmp_path):
     assert (manifest["outcome"], manifest["steps"]) == ("completed", 200)
     rows = read_diagnostics_csv(out / "diagnostics.csv")
     assert len(rows) == 201 and rows[-1].t == 1e-16
+
+
+def test_cmd_run_whose_signal_rounds_above_m_keeps_the_weighted_value(tmp_path):
+    # the stepper's rounding lifts max w 7.2e-15 above ||w0||_inf, beyond the
+    # weight's m but within the envelope's tolerance: a correct run, whose
+    # weighted values are kept; only the 1e-16 horizon fails
+    out = tmp_path / "out"
+    cfg = _floor_config({"t_end": 1e-16})
+    code = main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--quiet"])
+    assert code == 2
+    checks = json.loads((out / "verification.json").read_text())["checks"]
+    failed = {c["name"] for c in checks if not c["passed"]}
+    assert failed == {"end_state", "decay_rate"}
+    rows = read_diagnostics_csv(out / "diagnostics.csv")
+    assert max(r.linf_w for r in rows) > rows[0].linf_w
+    assert all(r.lyapunov is not None for r in rows)
 
 
 def test_cmd_run_with_dt_max_below_the_step_floor_names_it(tmp_path, capsys):

@@ -308,6 +308,46 @@ def test_record_block_is_record_sample_by_sample_bit_for_bit(cells, weighted):
     assert repr(blocks) == repr(one_by_one)
 
 
+@pytest.mark.parametrize(
+    "chi1, chi2, excess, kept",
+    [
+        (1.0, 1.0, 4 * 2.0**-54, True),  # 4 ulps above ||w0||_inf = m
+        (1.0, 1.0, 0.9e-12, True),  # within the envelope's tolerance
+        (1.0, 1.0, 2e-12, False),  # beyond m + chi1 * 1e-12
+        (0.5, 1.0, 0.1, True),  # chi1 max w <= m = chi2 ||w0||_inf < chi2 max w
+    ],
+    ids=["ulps", "tolerance", "beyond", "chi1_below_chi2"],
+)
+def test_record_block_weighs_a_signal_up_to_the_envelope_tolerance(
+    chi1, chi2, excess, kept
+):
+    grid = Grid(lengths=(1.0,), cells=(16,))
+    params = ModelParams(chi1=chi1, chi2=chi2, alpha=1.0, beta=1.0)
+    ones, w0 = np.ones(16), 0.25 + 0.25 * np.cos(np.pi * grid.cell_centers(0))
+    w0_max = float(w0.max())
+    ctx = RunContext(
+        grid=grid, params=params, ubar0=1.0, vbar0=1.0, w0_max=w0_max,
+        int_w0_sq=mass(w0 * w0, grid), weight=make_weight(2.0, 0.3, chi2 * w0_max),
+    )
+    w = w0.copy()
+    w[0] += excess  # cell 0 holds the maximum
+    later = State(1e-3, ones, ones, w)
+    records = record_block([State(0.0, ones, ones, w0), later], ctx, None)
+    assert records[0].lyapunov is not None
+    assert (records[1].lyapunov is not None) == kept
+    m = ctx.weight.m
+    if kept:  # weighted as if chi1 w were clipped to m
+        clipped = replace(later, w=np.minimum(w, m / chi1))
+        assert records[1].lyapunov == lyapunov(clipped, ctx.weight, chi1, grid)
+    assert (chi1 * w.max() > m) == (chi1 == chi2)
+    if chi1 == chi2:
+        with pytest.raises(ValueError, match="weight domain exceeded"):
+            lyapunov(later, ctx.weight, chi1, grid)  # lyapunov grants no tolerance
+        failed = {c.name for c in verify_run(records, ctx) if not c.passed}
+        beyond = {"signal_envelope", "weighted_lp_u"}
+        assert failed & beyond == (set() if kept else beyond)
+
+
 @pytest.mark.parametrize("cells", [(64,), (12, 9), (6, 5, 4)])
 def test_run_records_do_not_depend_on_the_block_length(cells, monkeypatch):
     config = reference_scenario(cells=cells, t_end=0.05, scheme="upwind")
