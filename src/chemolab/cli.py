@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import operator
 import os
 import sys
@@ -83,20 +84,17 @@ def _write_snapshot(result: RunResult, outdir: Path) -> list[str]:
     """Final fields in the raw format plus a grid-metadata sidecar, so a
     later config can restart from them via file initializers."""
     state, ctx = result.final_state, result.context
-    files = []
-    for name, arr in (("u", state.u), ("v", state.v), ("w", state.w)):
-        fname = f"final_{name}.raw"
-        write_field_raw(arr, outdir / fname)
-        files.append(fname)
+    fields = {name: f"final_{name}.raw" for name in ("u", "v", "w")}
+    for name, fname in fields.items():
+        write_field_raw(getattr(state, name), outdir / fname)
     sidecar = {
         "t": state.t,
         "grid": asdict(ctx.grid),
         "params": asdict(ctx.params),
-        "fields": {name: f"final_{name}.raw" for name in ("u", "v", "w")},
+        "fields": fields,
     }
     _write_json(sidecar, outdir / "final_state.json")
-    files.append("final_state.json")
-    return files
+    return [*fields.values(), "final_state.json"]
 
 
 def cmd_run(args) -> int:
@@ -117,10 +115,8 @@ def cmd_run(args) -> int:
     if result.context.weight_note:
         lines.append(f"weight note: {result.context.weight_note}")
 
-    files = []
     write_diagnostics_csv(result.records, outdir / "diagnostics.csv")
-    files.append("diagnostics.csv")
-    files.extend(_write_snapshot(result, outdir))
+    files = ["diagnostics.csv", *_write_snapshot(result, outdir)]
 
     # which verdicts rest on the paper's theorem, and why a weight is missing
     about = {"threshold": asdict(advisory), "weight_note": result.context.weight_note}
@@ -144,7 +140,8 @@ def cmd_run(args) -> int:
                 f"(value {check.value:.6g}, threshold {check.threshold:.6g})"
             )
         code = 0 if report.passed else 2
-    else:
+    else:  # an earlier run's report in this directory would contradict the outcome
+        (outdir / "verification.json").unlink(missing_ok=True)
         manifest[result.outcome] = result.failure.to_dict()
         lines.append(f"run ended early ({result.outcome}): {result.failure}")
         code = 3
@@ -159,6 +156,9 @@ def cmd_run(args) -> int:
 def cmd_threshold(args) -> int:
     from .model import ModelParams
 
+    for flag, chi in (("--chi1", args.chi1), ("--chi2", args.chi2)):
+        if not (chi > 0.0 and math.isfinite(chi)):
+            raise ValueError(f"{flag} must be a positive real, got {chi}")
     params = ModelParams(chi1=args.chi1, chi2=args.chi2, alpha=1.0, beta=1.0)
     report = threshold_check(params, args.w0max, args.n)
     m = max(report.m1, report.m2)

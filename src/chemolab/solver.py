@@ -28,15 +28,16 @@ that bound.
 
 :func:`run` steps with one :class:`_Workspace`, the run's stepper: it holds
 the run's parameters and scheme options and what every step would
-otherwise rebuild, and the operators work in place in it.  The public rhs, stable_dt and step each build a
-throwaway one, so they act as pure functions: their input is only read,
-and the arrays they return are fresh and never written again.
+otherwise rebuild, and the operators work in place in it.  The public rhs,
+stable_dt and step each build a throwaway one, so they act as pure
+functions: their input is only read, and the arrays they return are fresh
+and never written again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -218,8 +219,9 @@ class _Workspace:
     everything a step needs besides its state, built once.
 
     * ``scratch``, three fields: the DCT's second buffer in D, the two
-      exponents of R, and A's Heun stage (``stage``, u and v) and face
-      rate (``rate``, w's row);
+      exponents of R (rows 0 and 1), :meth:`stable_dt`'s v term (row 0),
+      and A's Heun stage (``stage``, u and v) and face rate (``rate``,
+      w's row);
     * ``mean``, each field's mean in D;
     * ``decay``, exp(tau * eigenvalue) for the tau of :meth:`decay_for`'s
       last call;
@@ -238,10 +240,8 @@ class _Workspace:
     def __init__(self, grid: Grid, params: ModelParams, scheme: SchemeOptions):
         self.params, self.scheme = params, scheme
         self.chi = max(params.chi1, params.chi2)
-        self.stacked = (3,) + grid.shape
-        self.scratch = np.empty(self.stacked)
+        self.scratch = np.empty((3,) + grid.shape)
         self.stage, self.rate = self.scratch[:2], self.scratch[2]
-        self.rows = tuple(self.scratch)
         self.mean = np.empty((3, 1))
         self.decay, self.tau = np.empty(grid.shape), None
         cells = math.prod(grid.cells)
@@ -304,7 +304,7 @@ class _Workspace:
 
     def absorb(self, fields: np.ndarray, tau: float) -> None:
         """R: exact absorption in place, w <- w * exp(-tau (alpha u + beta v))."""
-        exponent, other = self.rows[0], self.rows[1]
+        exponent, other = self.scratch[0], self.scratch[1]
         np.multiply(fields[0], -tau * self.params.alpha, out=exponent)
         np.multiply(fields[1], -tau * self.params.beta, out=other)
         exponent += other
@@ -374,7 +374,7 @@ class _Workspace:
     def rhs(self, state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:func:`rhs` of ``state``."""
         params = self.params
-        fields = np.concatenate((state.u, state.v, state.w)).reshape(self.stacked)
+        fields = np.array((state.u, state.v, state.w))
         out = np.zeros_like(fields)
         for axis in self.axes:
             flux = fields[axis.hi2] - fields[axis.lo2]
@@ -390,23 +390,22 @@ class _Workspace:
         params, scheme = self.params, self.scheme
         with np.errstate(over="ignore"):  # a rate beyond float range stalls the run
             rate = np.multiply(state.u, params.alpha, out=self.rate)
-            rate += np.multiply(state.v, params.beta, out=self.rows[0])
+            rate += np.multiply(state.v, params.beta, out=self.scratch[0])
         self.face_rate(state.w)
         worst = max(float(np.maximum.reduce(rate, axis=None)), _TINY)
         return min(scheme.cfl_safety / worst, scheme.dt_max)
 
-    def step(self, state: State, dt: float) -> State:
-        """:func:`step` of ``state`` by ``dt``."""
+    def step(self, state: State, dt: float, t_new: float) -> State:
+        """:func:`step` of ``state`` by ``dt``, ending at time ``t_new``."""
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        fields = np.concatenate((state.u, state.v, state.w)).reshape(self.stacked)
+        fields = np.array((state.u, state.v, state.w))
         decay = self.decay_for(0.5 * dt)
         self.diffuse(fields, decay)
         self.absorb(fields, 0.5 * dt)
         self.advect(fields, dt)
         self.absorb(fields, 0.5 * dt)
         self.diffuse(fields, decay)
-        t_new = state.t + dt
         flat = fields.reshape(3, -1)
         lows = np.minimum.reduce(flat, axis=1).tolist()
         if not all(mn >= _NEGATIVITY_TOL for mn in lows):  # NaN fails it too
@@ -482,7 +481,7 @@ def step(
     Works in a throwaway :class:`_Workspace`; ``state`` is only read, and
     the returned arrays are fresh and never written again.
     """
-    return _Workspace(grid, params, scheme).step(state, dt)
+    return _Workspace(grid, params, scheme).step(state, dt, state.t + dt)
 
 
 @dataclass(frozen=True)
@@ -564,7 +563,8 @@ def run(config: ScenarioConfig) -> RunResult:
     )
     state = State(t=0.0, u=init.u, v=init.v, w=init.w)
     del init  # the first state holds the initial fields; nothing else needs them
-    block = max(1, _BLOCK_BYTES // (24 * math.prod(grid.cells)))
+    ws = _Workspace(grid, params, config.options)
+    block = max(1, _BLOCK_BYTES // ws.scratch.nbytes)  # scratch is one sample's u, v, w
     pending = [state]  # samples whose records are not computed yet
     records: list[DiagnosticsRecord] = []
 
@@ -576,7 +576,6 @@ def run(config: ScenarioConfig) -> RunResult:
     k = 1
     steps = 0
     failure = None
-    ws = _Workspace(grid, params, config.options)
     try:
         while state.t < t_end:
             if len(pending) == block:
@@ -599,10 +598,8 @@ def run(config: ScenarioConfig) -> RunResult:
                         f"{why} at t={state.t}; giving up", state.t, value=dt_stable
                     )
                 dt = remaining if landed else dt_stable
-                state = ws.step(state, dt)
+                state = ws.step(state, dt, target if landed else state.t + dt)
                 steps += 1
-                if landed and state.t != target:
-                    state = replace(state, t=target)
             pending.append(state)
             k += 1
     except SolverError as exc:

@@ -697,6 +697,23 @@ def test_cmd_run_whose_signal_rounds_above_m_keeps_the_weighted_value(tmp_path):
     assert all(r.lyapunov is not None for r in rows)
 
 
+def test_cmd_run_that_ends_early_removes_an_earlier_verification_json(tmp_path):
+    # a completed run, then a blow-up into the same directory: no report of
+    # the first run may sit beside the second one's manifest
+    out = tmp_path / "out"
+    cfg = _floor_config({"t_end": 5.0})
+    argv = ["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--quiet"]
+    assert main(argv) == 0
+    assert json.loads((out / "verification.json").read_text())["passed"] is True
+    cfg["scheme"] = {"blowup_linf": 1.0}
+    argv[2] = str(write_config(tmp_path, cfg, "blowup.json"))
+    assert main(argv) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outcome"] == "blowup"
+    assert not (out / "verification.json").exists()
+    assert sorted(p.name for p in out.iterdir()) == sorted(manifest["files"] + ["manifest.json"])
+
+
 def test_cmd_run_with_dt_max_below_the_step_floor_names_it(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _floor_config({"t_end": 1.0, "dt_max": 1e-16})
@@ -1155,6 +1172,17 @@ def test_cmd_threshold_rejects_a_non_finite_signal_amplitude(w0max, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: w0_max must be finite")
+
+
+@pytest.mark.parametrize("flag", ["--chi1", "--chi2"])
+@pytest.mark.parametrize("chi", ["0", "-1", "nan", "inf"])
+def test_cmd_threshold_names_the_flag_of_a_bad_sensitivity(flag, chi, capsys):
+    argv = ["threshold", "--n", "2", "--chi1", "1", "--chi2", "1", "--w0max", "0.5"]
+    argv[argv.index(flag) + 1] = chi
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be a positive real, got {float(chi)}\n"
 
 
 def test_cmd_analyze_weight_footer(capsys):

@@ -31,7 +31,7 @@ from chemolab.solver import (
     stable_dt,
     step,
 )
-from tests.conftest import reference_scenario
+from tests.conftest import homogeneous_scenario, reference_scenario
 from tests.reference_fv import divergence, grad_w_faces, species_flux
 
 PARAMS = ModelParams(1.0, 1.0, 1.0, 1.0)
@@ -650,6 +650,19 @@ def test_run_reports_blowup_via_sentinel():
     assert res.final_state.t < res.failure.time  # the last good state
 
 
+def test_a_landed_sample_is_at_its_output_time_exactly(monkeypatch):
+    # one free step to t, then a landing step: t + (t_end - t) rounds to
+    # 5.617965069136007, one ulp past t_end
+    t_end, first = 5.617965069136006, 1.1968812773862232
+    assert first + (t_end - first) != t_end
+    bounds = iter([first])
+    monkeypatch.setattr(solver._Workspace, "stable_dt", lambda ws, state: next(bounds, math.inf))
+    res = run(replace(homogeneous_scenario(t_end), output_every=t_end))
+    assert res.outcome == "completed" and res.steps == 2
+    assert [r.t for r in res.records] == [0.0, t_end]
+    assert res.final_state.t == t_end
+
+
 def test_reference_run_takes_at_most_400_steps(reference_run):
     # the split step needs ~212 steps for the 64^2 run to t = 5; a diffusive
     # step limit (dt ~ h^2) would need ~164k
@@ -674,7 +687,8 @@ def test_step_reads_its_input_and_returns_fresh_arrays(opts):
     kept, later = _fields(first), first
     ws = solver._Workspace(grid, params, opts)
     for _ in range(3):  # one workspace, as in a run, reused by every later call
-        later = ws.step(later, ws.stable_dt(later))
+        dt = ws.stable_dt(later)
+        later = ws.step(later, dt, later.t + dt)
         ws.rhs(later)
     assert _fields(first) == kept
     arrays = [(s.u, s.v, s.w) for s in (state, first, later)]
@@ -703,7 +717,7 @@ def test_no_call_reads_what_an_earlier_one_left_in_the_workspace(cells, opts):
     dt = ws.stable_dt(state)
     calls = {
         "stable_dt": lambda: np.float64(ws.stable_dt(state)).tobytes(),
-        "step": lambda: _fields(ws.step(state, dt)),
+        "step": lambda: _fields(ws.step(state, dt, state.t + dt)),
         "rhs": lambda: [a.tobytes() for a in ws.rhs(state)],
     }
     fresh = {name: call() for name, call in calls.items()}  # before any poison

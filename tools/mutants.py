@@ -63,9 +63,41 @@ MUTANTS = [
     (
         "stable_dt ignores absorption", SOLVER,
         "            rate = np.multiply(state.u, params.alpha, out=self.rate)\n"
-        "            rate += np.multiply(state.v, params.beta, out=self.rows[0])\n",
+        "            rate += np.multiply(state.v, params.beta, out=self.scratch[0])\n",
         "            rate = self.rate\n"
         "            rate.fill(0.0)\n",
+    ),
+    (
+        "D runs with the full dt", SOLVER,
+        "        decay = self.decay_for(0.5 * dt)\n",
+        "        decay = self.decay_for(dt)\n",
+    ),
+    (
+        "the first R runs with the full dt", SOLVER,
+        "        self.absorb(fields, 0.5 * dt)\n"
+        "        self.advect(fields, dt)\n",
+        "        self.absorb(fields, dt)\n"
+        "        self.advect(fields, dt)\n",
+    ),
+    (
+        "the Laplacian's eigenvalues with h where h^2 belongs", SOLVER,
+        "        eig = -(4.0 / self.h2) * np.sin(modes * (np.pi / (2 * m))) ** 2\n",
+        "        eig = -(4.0 / h) * np.sin(modes * (np.pi / (2 * m))) ** 2\n",
+    ),
+    (
+        "chemotaxis tau with h where h^2 belongs", SOLVER,
+        "            tau = dt / axis.h2\n",
+        "            tau = dt / math.sqrt(axis.h2)\n",
+    ),
+    (
+        "the stacked face slices one axis off", SOLVER,
+        "        self.lo2, self.hi2 = _lo(axis + 1, dim + 1), _hi(axis + 1, dim + 1)\n",
+        "        self.lo2, self.hi2 = _lo(axis, dim + 1), _hi(axis, dim + 1)\n",
+    ),
+    (
+        "a landed step ends at t + dt, not at its output time", SOLVER,
+        "                state = ws.step(state, dt, target if landed else state.t + dt)\n",
+        "                state = ws.step(state, dt, state.t + dt)\n",
     ),
     (
         "record_block weights u with chi2", DIAGNOSTICS,
