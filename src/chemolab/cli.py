@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, config_digest, parse_config
+from .config import config_digest, parse_config
 from .convergence import refinement_study
 from .diagnostics import RECORD_FIELDS, DiagnosticsRecord, verify_run
 from .model import threshold_check, write_field_raw
@@ -276,7 +276,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # here, not at exit, where a closed pipe is exit 120
         return code
-    except (ConfigError, SolverError, ValueError) as exc:
+    except (SolverError, ValueError) as exc:  # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # a grid or table beyond any address space

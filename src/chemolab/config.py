@@ -187,7 +187,7 @@ def parse_config(path) -> ScenarioConfig:
         raise ConfigError(str(exc)) from exc
     try:
         grid = Grid(**values["grid"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
     if dim is not None and dim != grid.dim:
         raise ConfigError(f"grid.dim = {dim:g} contradicts {grid.dim}-axis lengths/cells")

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Grid, ScenarioConfig
-from .solver import SolverError, run
+from .model import Grid, ScenarioConfig, _integrals
+from .solver import run
 
 __all__ = ["RefinementStudy", "self_differences", "refinement_study", "time_order_study"]
 
@@ -41,21 +41,24 @@ def self_differences(
     consecutive runs.
 
     Each labelled config runs as given, and its final state is restricted
-    onto ``base`` by the ratio of the two grids' cell counts.  Raises
-    :class:`SolverError` naming the label and the outcome when a run ends
-    early.
+    onto ``base`` by the ratio of the two grids' cell counts.  A run that
+    ends early raises its own :class:`~chemolab.solver.SolverError`, with
+    its type, outcome and facts, its message prefixed by the label and the
+    outcome.
     """
     finals = []
     for label, config in runs:
         result = run(config)
-        if result.failure is not None:
-            raise SolverError(f"{label} ended early ({result.outcome}): {result.failure}")
+        failure = result.failure
+        if failure is not None:
+            failure.args = (f"{label} ended early ({result.outcome}): {failure}",)
+            raise failure
         factor = config.grid.cells[0] // base.cells[0]
         fs = result.final_state
         finals.append([_restrict(f, factor) for f in (fs.u, fs.v, fs.w)])
 
     def l2(diff: np.ndarray) -> float:
-        return math.sqrt(base.volume_element * float(np.sum(diff * diff)))
+        return math.sqrt(_integrals(diff * diff, base))
 
     return [
         {name: l2(a - b) for name, a, b in zip(FIELDS, earlier, later)}

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Grid, ModelParams, State, _hi, _lo
+from .model import _NORMAL, Grid, ModelParams, State, _hi, _integrals, _lo
 from .weight import WeightFunction
 
 __all__ = [
@@ -43,7 +43,6 @@ _TAIL_FRACTION = 0.25  # trailing share of the run for the Dirichlet increments
 _TAIL_INCREMENT_TOL = 0.01  # their allowed share of the whole integral
 _END_STATE_TOL = 1e-3  # distance of u, v and w from their limits at t_end
 _DECAY_WINDOW_FRACTION = 0.5  # trailing share of the samples fit_decay uses
-_TINY = np.finfo(float).tiny  # smallest normal float
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,12 +93,6 @@ class RunContext:
         return self.params.alpha * self.ubar0 + self.params.beta * self.vbar0
 
 
-def _integrals(fields: np.ndarray, grid: Grid) -> np.ndarray:
-    """Discrete integrals of the fields stacked along the leading axes."""
-    lead = fields.shape[: fields.ndim - grid.dim]
-    return grid.volume_element * np.add.reduce(fields.reshape(lead + (-1,)), axis=-1)
-
-
 def _dirichlet_energies(fields: np.ndarray, grid: Grid) -> np.ndarray:
     """Discrete int |grad f|^2 of the fields stacked along the leading axes."""
     dim, lead = grid.dim, fields.ndim - grid.dim
@@ -142,6 +135,7 @@ def _weighted_lp(
         integrand = u**wf.p
         integrand *= phi
         integral = np.add.reduce(integrand.reshape(len(u), -1), axis=1)
+    # not _integrals: (1/p) h^n comes first, and reordering would move the bytes
     return ((1.0 / wf.p) * grid.volume_element) * integral
 
 
@@ -248,7 +242,7 @@ def fit_decay(series: Iterable[tuple[float, float]]) -> DecayFit:
     normal float, where an underflowing signal stalls, are left out first.
     """
     pairs = [(float(t), float(w)) for t, w in series]
-    pairs = [(t, w) for t, w in pairs if not 0.0 < w < _TINY]
+    pairs = [(t, w) for t, w in pairs if not 0.0 < w < _NORMAL]
     n_window = max(int(round(_DECAY_WINDOW_FRACTION * len(pairs))), 3)
     window = pairs[-n_window:]
     if len(window) < 3:

@@ -141,6 +141,13 @@ def _hi(axis: int, dim: int) -> tuple[slice, ...]:
     return tuple(slice(1, None) if k == axis else slice(None) for k in range(dim))
 
 
+def _integrals(fields: np.ndarray, grid: Grid) -> np.ndarray:
+    """Discrete integrals of the fields stacked along the leading axes: the
+    cell volume times the cell sum, the package's one integral rule."""
+    lead = fields.shape[: fields.ndim - grid.dim]
+    return grid.volume_element * np.add.reduce(fields.reshape(lead + (-1,)), axis=-1)
+
+
 @dataclass(frozen=True)
 class State:
     """Cell-averaged fields u, v (densities) and w (signal) at time t.
@@ -190,8 +197,10 @@ class CosineBumpInit:
             for k, (x, mode) in enumerate(zip(grid.center_mesh(), modes)):
                 # at the m cell centers the factor is even in mode, of period 4 m
                 mode = abs(mode) % (4 * grid.cells[k])
-                if mode:
+                if mode and math.isfinite(mode * math.pi * grid.lengths[k]):
                     bump = bump * np.cos(mode * np.pi * x / grid.lengths[k])
+                elif mode:  # on a box near float range mode * pi * x overflows
+                    bump = bump * np.cos(mode * np.pi * (x / grid.lengths[k]))
             return np.full(grid.shape, float(self.base)) + self.amplitude * bump
 
 
@@ -212,13 +221,15 @@ class GaussianInit:
             raise ValueError("gaussian center must give one coordinate per axis")
         if not self.width > 0.0:
             raise ValueError("gaussian width must be positive")
-        # limits beyond float range come from the arithmetic: a spread of inf
-        # samples exp(-0) = 1, one of 0 exp(-inf) = 0 off the center
+        # limits beyond float range come from the arithmetic: a spread that
+        # underflows to 0, or a distance that overflows, samples exp(-inf) = 0
         with np.errstate(all="ignore"):
-            spread = 2.0 * np.float64(self.width) ** 2
+            spread, unit = 2.0 * np.float64(self.width) ** 2, None
+            if not math.isfinite(spread):  # measure the distance in widths
+                spread, unit = 2.0, self.width
             sq = np.zeros(grid.shape)
             for x, c in zip(grid.center_mesh(), self.center):
-                sq = sq + (x - c) ** 2
+                sq = sq + ((x - c) if unit is None else (x - c) / unit) ** 2
             bump = np.exp(-sq / spread, where=sq > 0.0, out=np.ones(grid.shape))
             return self.floor + self.amplitude * bump
 
@@ -285,9 +296,8 @@ def validate_initial_data(u0, v0, w0, grid: Grid) -> ValidatedInitialData:
     """Check initial fields against the positivity hypotheses.
 
     u0 and v0 must be strictly positive, w0 nonnegative, all finite and
-    sized to the grid, and the integrals of u0, v0 and w0^2 (cell volume
-    times cell sum, as the diagnostics take them) within float range, those
-    of u0 and v0 not rounded to 0.
+    sized to the grid, and the integrals of u0, v0 and w0^2 (:func:`_integrals`)
+    within float range, those of u0 and v0 not rounded to 0.
     Returns the triple unchanged together with the recorded means, the sup
     of w0 and the integral of w0^2.  Idempotent.
     """
@@ -318,10 +328,8 @@ def validate_initial_data(u0, v0, w0, grid: Grid) -> ValidatedInitialData:
         )
     u, v, w = (fields[n].copy() for n in ("u0", "v0", "w0"))
     with np.errstate(over="ignore"):  # an integral beyond float range is refused
-        integrals = {
-            name: grid.volume_element * float(np.sum(arr))
-            for name, arr in (("u0", u), ("v0", v), ("w0^2", w * w))
-        }
+        integrals = {name: float(_integrals(arr, grid))
+                     for name, arr in (("u0", u), ("v0", v), ("w0^2", w * w))}
     for name, value in integrals.items():
         if not math.isfinite(value):
             raise ValueError(f"the integral of {name} is beyond float range")

@@ -44,6 +44,7 @@ import numpy as np
 # record is not called here; benchmarks/tracing.py wraps solver.record
 from .diagnostics import DiagnosticsRecord, RunContext, record, record_block
 from .model import (
+    _NORMAL,
     Grid,
     ModelParams,
     ScenarioConfig,
@@ -77,7 +78,6 @@ __all__ = [
 _DT_FLOOR = 1e-15
 _BLOCK_BYTES = 1 << 18  # at most this much of stacked sample fields awaits record_block
 _NEGATIVITY_TOL = -1e-12
-_TINY = np.finfo(float).tiny
 
 
 class SolverError(RuntimeError):
@@ -109,6 +109,11 @@ class SolverError(RuntimeError):
 
 class PositivityError(SolverError):
     outcome = "positivity"
+
+    def __init__(self, time: float, field: str, cell: tuple[int, ...], value: float):
+        message = (f"positivity violation in {field} at t={time}: min {value} at cell "
+                   f"{cell} (reduce dt or switch to upwind)")
+        super().__init__(message, time, field, cell, value)
 
 
 class BlowUpDetected(SolverError):
@@ -392,7 +397,7 @@ class _Workspace:
             rate = np.multiply(state.u, params.alpha, out=self.rate)
             rate += np.multiply(state.v, params.beta, out=self.scratch[0])
         self.face_rate(state.w)
-        worst = max(float(np.maximum.reduce(rate, axis=None)), _TINY)
+        worst = max(float(np.maximum.reduce(rate, axis=None)), _NORMAL)
         return min(scheme.cfl_safety / worst, scheme.dt_max)
 
     def step(self, state: State, dt: float, t_new: float) -> State:
@@ -413,12 +418,7 @@ class _Workspace:
                 if math.isnan(mn):
                     raise BlowUpDetected(t_new, name, _first_bad_cell(np.isnan(arr)), mn)
                 if mn < _NEGATIVITY_TOL:
-                    cell = _first_bad_cell(arr == mn)
-                    raise PositivityError(
-                        f"positivity violation in {name} at t={t_new}: min {mn} at cell "
-                        f"{cell} (reduce dt or switch to upwind)",
-                        t_new, name, cell, mn,
-                    )
+                    raise PositivityError(t_new, name, _first_bad_cell(arr == mn), mn)
         u, v, w = fields
         if lows[2] < 0.0:
             np.maximum(w, 0.0, out=w)
@@ -500,7 +500,7 @@ class RunResult:
 
 
 def _resolve_weight(
-    config: ScenarioConfig, params: ModelParams, w0_max: float
+    config: ScenarioConfig, w0_max: float
 ) -> tuple[WeightFunction | None, str]:
     """Pick the weight used for the tracked L^p value.
 
@@ -509,7 +509,7 @@ def _resolve_weight(
     they cannot cover it; otherwise the threshold construction chooses them
     when the amplitude allows it.
     """
-    m = max(params.chi1, params.chi2) * w0_max
+    m = max(config.params.chi1, config.params.chi2) * w0_max
     if config.weight_p is not None:  # ScenarioConfig holds both or neither
         try:
             return make_weight(config.weight_p, config.weight_eps, m), ""
@@ -550,7 +550,7 @@ def run(config: ScenarioConfig) -> RunResult:
     """
     grid, params = config.grid, config.params
     init = validate_initial_data(*config.initial.build(grid), grid)
-    weight, weight_note = _resolve_weight(config, params, init.w0_max)
+    weight, weight_note = _resolve_weight(config, init.w0_max)
     ctx = RunContext(
         grid=grid,
         params=params,

@@ -207,6 +207,15 @@ def test_gaussian_wider_than_float_range_is_flat():
         assert np.all(flat.sample(g) == 0.1 + 2.0)
 
 
+def test_gaussian_whose_spread_overflows_is_measured_in_widths():
+    # |x - c| / width is 1 in every cell, so each samples exp(-1/2); 2 width^2
+    # overflows, and so does |x - c|^2 for the first center
+    g = Grid(lengths=(1.0,), cells=(4,))
+    for scale in (1e200, 1e154):
+        bump = GaussianInit(center=(scale,), width=scale, amplitude=1.0).sample(g)
+        assert np.allclose(bump, math.exp(-0.5), rtol=1e-15, atol=0.0), scale
+
+
 def test_gaussian_narrower_than_float_range_is_a_spike_on_its_center():
     g = Grid(lengths=(1.0,), cells=(16,))
     # 2 width^2 underflows to 0, or is subnormal and sq / spread overflows
@@ -227,6 +236,15 @@ def test_cosine_modes_sample_exactly_modulo_four_cells():
         assert np.array_equal(same, base), modes
     flat = CosineBumpInit(base=1.0, amplitude=0.5, modes=(10**308, 0)).sample(g)
     assert np.all(flat == 1.5)  # 10^308 is a multiple of 4 * 16
+
+
+def test_cosine_on_a_box_near_float_range_samples_the_bump():
+    # mode * pi * x overflows on this box; x / L does not
+    g = Grid(lengths=(1e308,), cells=(16,))
+    bump = CosineBumpInit(base=1.0, amplitude=0.5, modes=(1,)).sample(g)
+    expected = 1.0 + 0.5 * np.cos(np.pi * (np.arange(16) + 0.5) / 16)
+    assert np.allclose(bump, expected, rtol=1e-15, atol=0.0)
+    validate_initial_data(bump, np.ones(16), np.zeros(16), g)
 
 
 _NUMBERS = hst.sampled_from(

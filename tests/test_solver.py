@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from chemolab import solver
+from chemolab.convergence import refinement_study
 from chemolab.model import (
     ConstantInit,
     CosineBumpInit,
@@ -648,6 +649,26 @@ def test_run_reports_blowup_via_sentinel():
     assert 0.0 < res.failure.time < 2.0
     assert len(res.failure.cell) == 1
     assert res.final_state.t < res.failure.time  # the last good state
+
+
+def test_refinement_study_raises_the_failure_of_the_level_that_ended_early():
+    cfg = ScenarioConfig(
+        params=ModelParams(chi1=1.0, chi2=1.0, alpha=1.0, beta=1.0),
+        grid=Grid(lengths=(1.0,), cells=(8,)),
+        initial=InitialSpec(
+            u=CosineBumpInit(base=1.0, amplitude=0.9, modes=(1,)),
+            v=ConstantInit(1.0),
+            w=CosineBumpInit(base=1.0, amplitude=0.9, modes=(1,)),
+        ),
+        t_end=0.5,
+        options=SchemeOptions(advection="upwind", blowup_linf=1.5),
+    )
+    with pytest.raises(BlowUpDetected) as caught:
+        refinement_study(cfg)
+    failure = caught.value
+    assert failure.outcome == "blowup" and failure.field == "u"
+    assert 0.0 < failure.time < 0.5 and failure.value > 1.5 and len(failure.cell) == 1
+    assert str(failure).startswith("refinement level (8,) ended early (blowup): divergence in u")
 
 
 def test_a_landed_sample_is_at_its_output_time_exactly(monkeypatch):

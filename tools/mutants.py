@@ -80,6 +80,30 @@ MUTANTS = [
         "        self.advect(fields, dt)\n",
     ),
     (
+        "the closing R runs with the full dt", SOLVER,
+        "        self.advect(fields, dt)\n"
+        "        self.absorb(fields, 0.5 * dt)\n",
+        "        self.advect(fields, dt)\n"
+        "        self.absorb(fields, dt)\n",
+    ),
+    (
+        "the closing D runs with the full dt", SOLVER,
+        "        self.absorb(fields, 0.5 * dt)\n"
+        "        self.diffuse(fields, decay)\n",
+        "        self.absorb(fields, 0.5 * dt)\n"
+        "        self.diffuse(fields, self.decay_for(dt))\n",
+    ),
+    (
+        "the middle cell of an odd axis read one column early", SOLVER,
+        "        self.y_mid = y[:, r] if q > r else None  #",
+        "        self.y_mid = y[:, r - 1] if q > r else None  #",
+    ),
+    (
+        "the mirror slice one cell inward", SOLVER,
+        "        self.mirror = slice(m - 1, q - 1, -1)  #",
+        "        self.mirror = slice(m - 2, q - 2, -1)  #",
+    ),
+    (
         "the Laplacian's eigenvalues with h where h^2 belongs", SOLVER,
         "        eig = -(4.0 / self.h2) * np.sin(modes * (np.pi / (2 * m))) ** 2\n",
         "        eig = -(4.0 / h) * np.sin(modes * (np.pi / (2 * m))) ** 2\n",
