@@ -16,7 +16,9 @@ D(dt/2), second order in dt:
 * D, diffusion of u, v and w, is solved exactly.  The zero-flux Laplacian
   of a uniform box is diagonalised by the orthonormal DCT-II along each
   axis, so D transforms, multiplies by exp(tau * eigenvalue) and transforms
-  back.
+  back.  Each axis takes one product with its whole DCT matrix where the
+  grid gives it at least as many lines as it has cells, and a parity split
+  into two half-size products otherwise (:func:`_full_plan`).
 * R, absorption, is solved exactly: w <- w * exp(-tau (alpha u + beta v)).
 * A, chemotaxis with w frozen, is Heun's SSP-RK2 on the advective face
   fluxes of :func:`rhs`.
@@ -28,10 +30,12 @@ that bound.
 
 :func:`run` steps with one :class:`_Workspace`, the run's stepper: it holds
 the run's parameters and scheme options and what every step would
-otherwise rebuild, and the operators work in place in it.  The public rhs,
-stable_dt and step each build a throwaway one, so they act as pure
-functions: their input is only read, and the arrays they return are fresh
-and never written again.
+otherwise rebuild, and the operators work in place in it.  It keeps the
+spectrum of the state it last returned, so in a run one step's closing D
+and the next step's opening D cost one forward transform and two inverses:
+3 transforms a step, not 4.  The public rhs, stable_dt and step each build
+a throwaway one, so they act as pure functions: their input is only read,
+and the arrays they return are fresh and never written again.
 """
 
 from __future__ import annotations
@@ -78,6 +82,7 @@ __all__ = [
 _DT_FLOOR = 1e-15
 _BLOCK_BYTES = 1 << 18  # at most this much of stacked sample fields awaits record_block
 _NEGATIVITY_TOL = -1e-12
+_DECAY_FLOOR = 2.0**-100  # a smaller decay factor is 0: see _Workspace.decay_for
 
 
 class SolverError(RuntimeError):
@@ -155,56 +160,78 @@ def _face_density(
 # ------------------------------------------------------- split operators
 
 
+def _full_plan(m: int, cells: int) -> bool:
+    """Whether the axis of m cells, in a grid of ``cells`` cells, takes one
+    product with its whole DCT-II matrix: where the 3 stacked fields give
+    it at least as many lines (3 cells / m) as it has cells.  With fewer,
+    longer lines the m x m matrix outweighs the data, and the parity split
+    of :class:`_Axis`, with matrices of half the size, is faster."""
+    return 3 * cells >= m * m
+
+
 class _Axis:
     """One axis of a :class:`_Workspace`, m cells of width h: its DCT plan
-    with the views of ``scratch`` it uses, the zero-flux Laplacian's
-    eigenvalues along it (``eig``), its face slices and h^2, and its views
-    of the shared face buffers and of ``rate``.
+    and its views of the DCT's buffers (:meth:`views`), the zero-flux
+    Laplacian's eigenvalues along it (``eig``), its face slices and h^2,
+    and its views of the shared face buffers and of ``rate``.
 
-    The plan is the orthonormal DCT-II of the axis, split by parity.  Even
-    modes are symmetric under the reflection i -> m-1-i and odd modes
-    antisymmetric.  With q = ceil(m/2) and r = floor(m/2), the even
-    coefficients are ``even @ s`` for the pair sums s_i = x_i + x_{m-1-i}
-    (i < r, then the middle cell when m is odd) and the odd ones ``odd @ d``
-    for the pair differences; the inverse rebuilds x_i and x_{m-1-i} as the
-    sum and the difference of ``even.T @ E`` and ``odd.T @ O``.  A field
-    symmetric under the reflection thus has exactly zero odd coefficients
-    and comes back exactly symmetric.  ``even`` is q x q, ``odd`` is r x r
-    and symmetric, and ``eig`` holds -(4/h^2) sin^2(pi k / (2m)) in the
-    spectral layout along the axis, even modes first.
+    The plan applies the orthonormal DCT-II of the axis, C[k, i] =
+    s_k cos(pi k (2i+1) / (2m)), to every line of the stacked fields along
+    it; :func:`_full_plan` picks one of two forms once, from the grid's
+    shape.  ``full``: one product with C, or with C.T for the inverse, and
+    ``eig`` in natural mode order.  Otherwise the product is split by
+    parity.  Even modes are symmetric under the reflection i -> m-1-i and
+    odd modes antisymmetric.  With q = ceil(m/2) and r = floor(m/2), the
+    even coefficients are ``even @ s`` for the pair sums s_i = x_i +
+    x_{m-1-i} (i < r, then the middle cell when m is odd) and the odd ones
+    ``odd @ d`` for the pair differences; the inverse rebuilds x_i and
+    x_{m-1-i} as the sum and the difference of ``even.T @ E`` and
+    ``odd.T @ O``.  ``even`` is q x q, ``odd`` is r x r and symmetric, and
+    ``eig`` lists the even modes first.  ``eig`` holds -(4/h^2)
+    sin^2(pi k / (2m)) in the axis's spectral layout.
     """
 
-    __slots__ = ("q", "r", "view", "mirror", "right", "forward", "backward", "y_even",
-                 "y_odd", "y_lo", "y_mid", "eig", "lo", "hi", "lo2", "hi2", "h2",
-                 "dw", "up", "flux", "rate_lo", "rate_hi")
+    __slots__ = ("full", "q", "r", "view", "mirror", "cache", "right", "forward",
+                 "backward", "eig", "lo", "hi", "lo2", "hi2", "h2", "dw", "up", "flux",
+                 "rate_lo", "rate_hi")
 
-    def __init__(self, axis: int, grid: Grid, scratch: np.ndarray, rate: np.ndarray,
-                 dw: np.ndarray, up: np.ndarray, flux: np.ndarray):
+    def __init__(self, axis: int, grid: Grid, buffers: tuple[np.ndarray, ...],
+                 rate: np.ndarray, dw: np.ndarray, up: np.ndarray, flux: np.ndarray):
         m, h, dim = grid.cells[axis], grid.spacing[axis], grid.dim
+        cells = math.prod(grid.cells)
+        self.full = _full_plan(m, cells)
         self.q, self.r = q, r = (m + 1) // 2, m // 2
         self.h2 = h * h
-        modes = np.concatenate([np.arange(0, m, 2), np.arange(1, m, 2)])
+        k = np.arange(m)
         # cos(pi k (2i+1) / (2m)), the angle reduced exactly (whole floats)
-        basis = np.multiply.outer(modes, 2 * np.arange(q) + 1, dtype=float)
+        basis = np.multiply.outer(k, 2 * k + 1, dtype=float)
         np.remainder(basis, 4 * m, out=basis)
         basis *= np.pi / (2 * m)
         np.cos(basis, out=basis)
         basis *= math.sqrt(2.0 / m)
         basis[0] *= math.sqrt(0.5)
-        even, odd = basis[:q].copy(), basis[q:, :r].copy()
+        modes = k if self.full else np.concatenate([k[0::2], k[1::2]])
         eig = -(4.0 / self.h2) * np.sin(modes * (np.pi / (2 * m))) ** 2
         self.eig = eig.reshape((m,) + (1,) * (dim - 1 - axis))
         post = math.prod(grid.cells[axis + 1 :])
-        self.right = post == 1  # transformed by a right product, x @ mat.T
+        self.right = post == 1  # transformed by a right product, x @ mat
         self.view = (-1, m) if self.right else (-1, m, post)
-        if self.right:  # which BLAS reads fastest as a transposed view
-            self.forward, self.backward = (even.T, odd.T), (even.T.copy().T, odd.T)
-        else:  # a left product broadcast over the axes before it
-            self.forward, self.backward = (even, odd), (even.T, odd.T)
+        # in the right layout, the operand order BLAS reads fastest: C order
+        # for the many lines of a full plan, F order for the few of a split
+        if self.full and self.right:
+            self.forward, self.backward = basis.T.copy(), basis
+        elif self.full:
+            self.forward, self.backward = basis, basis.T
+        else:
+            even, odd = basis[0::2, :q].copy(), basis[1::2, :r].copy()
+            if self.right:
+                self.forward, self.backward = (even.T, odd.T), (even.T.copy().T, odd.T)
+            else:  # a left product broadcast over the axes before it
+                self.forward, self.backward = (even, odd), (even.T, odd.T)
         self.mirror = slice(m - 1, q - 1, -1)  # cells m-1 .. m-r, partners of 0 .. r-1
-        y = scratch.reshape(self.view)
-        self.y_even, self.y_odd, self.y_lo = y[:, :q], y[:, q:], y[:, :r]
-        self.y_mid = y[:, r] if q > r else None  # the middle cell pairs with itself
+        self.cache = {}
+        for buf in buffers:
+            self.cache[id(buf)] = self.views(buf)
         self.lo, self.hi = _lo(axis, dim), _hi(axis, dim)
         self.lo2, self.hi2 = _lo(axis + 1, dim + 1), _hi(axis + 1, dim + 1)
         shape = grid.cells[:axis] + (m - 1,) + grid.cells[axis + 1 :]
@@ -212,6 +239,18 @@ class _Axis:
         self.dw, self.up = dw[:n].reshape(shape), up[:n].reshape(shape)
         self.flux = flux[: 2 * n].reshape((2,) + shape)
         self.rate_lo, self.rate_hi = rate[self.lo], rate[self.hi]
+
+    def views(self, buf: np.ndarray) -> tuple:
+        """The stacked ``buf`` along the axis: whole, its first q and last r
+        cells (modes), its first r cells, their mirror partners, and its
+        middle cell (None when m is even); cached for the ``buffers`` the
+        workspace keeps."""
+        got = self.cache.get(id(buf))
+        if got is None:
+            x, q, r = buf.reshape(self.view), self.q, self.r
+            middle = x[:, r] if q > r else None
+            got = x, x[:, :q], x[:, q:], x[:, :r], x[:, self.mirror], middle
+        return got
 
     def product(self, mat: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
         """``x @ mat`` into ``out`` in the right layout, ``mat @ x`` in the left."""
@@ -223,11 +262,15 @@ class _Workspace:
     """The stepper of a run: its grid, parameters and scheme options, and
     everything a step needs besides its state, built once.
 
-    * ``scratch``, three fields: the DCT's second buffer in D, the two
+    * ``scratch``, three fields: the second buffer of every DCT, the two
       exponents of R (rows 0 and 1), :meth:`stable_dt`'s v term (row 0),
       and A's Heun stage (``stage``, u and v) and face rate (``rate``,
       w's row);
-    * ``mean``, each field's mean in D;
+    * ``spectrum`` and ``mean``, what D leaves behind: the DCT-II of each
+      field's zero-mean part and each field's mean, of D's last result;
+    * ``kept``, the state :meth:`step` last returned when ``spectrum`` and
+      ``mean`` still describe it (None when the step clipped w), so that
+      the next step's opening D starts from them;
     * ``decay``, exp(tau * eigenvalue) for the tau of :meth:`decay_for`'s
       last call;
     * one set of face buffers, sized for the axis with the most faces and
@@ -235,7 +278,8 @@ class _Workspace:
       :meth:`face_rate`), the upwind mask ``up`` (dw > 0) and the flux of
       both species.  A method that reads them fills them first, so no call
       depends on what an earlier one left;
-    * ``axes``, one :class:`_Axis` per axis, in axis order.
+    * ``axes``, one :class:`_Axis` per axis, in axis order, and ``full``,
+      how many of them take the one-matrix plan.
 
     The operators work in place on a stacked (3, *grid.shape) array of u,
     v and w.  :meth:`step` makes that array fresh every step, because it is
@@ -247,17 +291,26 @@ class _Workspace:
         self.chi = max(params.chi1, params.chi2)
         self.scratch = np.empty((3,) + grid.shape)
         self.stage, self.rate = self.scratch[:2], self.scratch[2]
-        self.mean = np.empty((3, 1))
+        self.spectrum, self.mean = np.empty((3,) + grid.shape), np.empty((3, 1))
+        self.kept = None
         self.decay, self.tau = np.empty(grid.shape), None
         cells = math.prod(grid.cells)
         most = cells - cells // max(grid.cells)  # faces along the axis of most cells
         dw, up, flux = np.empty(most), np.empty(most, bool), np.empty(2 * most)
-        self.axes = [_Axis(axis, grid, self.scratch, self.rate, dw, up, flux)
+        buffers = self.spectrum, self.scratch
+        self.axes = [_Axis(axis, grid, buffers, self.rate, dw, up, flux)
                      for axis in range(grid.dim)]
+        self.full = sum(axis.full for axis in self.axes)
 
     def decay_for(self, tau: float) -> np.ndarray:
         """exp(tau * eigenvalue), a mode's eigenvalue the sum of its per-axis
-        ones in axis order; recomputed only when tau changed."""
+        ones in axis order; recomputed only when tau changed.
+
+        A factor below ``_DECAY_FLOOR`` is 0: that mode is gone far below
+        rounding, and a coefficient decayed twice (a kept spectrum) cannot
+        land among the subnormal numbers, which slow every product that
+        reads them many times over.
+        """
         if tau != self.tau:
             decay = self.decay
             decay.fill(0.0)
@@ -265,46 +318,65 @@ class _Workspace:
                 decay += axis.eig
             decay *= tau
             np.exp(decay, out=decay)
+            decay[decay < _DECAY_FLOOR] = 0.0
             self.tau = tau
         return self.decay
 
-    def _dct(self, fields: np.ndarray, inverse: bool) -> None:
-        """DCT-II of the stacked ``fields`` along each axis in turn, or its
-        inverse, in place."""
+    def _dct(self, src: np.ndarray, dst: np.ndarray, inverse: bool) -> None:
+        """DCT-II of the stacked fields in ``src`` along each axis in turn,
+        or its inverse, into ``dst``, with ``scratch`` as the other buffer.
+
+        A full-plan axis writes the buffer it does not read, and a split
+        one transforms in place through the other, so each axis writes
+        ``dst`` when an even number of full-plan axes follow it.  ``src``
+        is only read, unless it is the buffer the first axis writes.
+        """
+        after = self.full
         for axis in self.axes:
-            x, q, r, y_mid = fields.reshape(axis.view), axis.q, axis.r, axis.y_mid
-            lo, hi, x_even, x_odd = x[:, :r], x[:, axis.mirror], x[:, :q], x[:, q:]
+            after -= axis.full
+            out = dst if after % 2 == 0 else self.scratch
+            x, x_even, x_odd, x_lo, x_hi, x_mid = axis.views(src)
+            y, y_even, y_odd, y_lo, y_hi, y_mid = axis.views(out)
+            src = out
+            if axis.full:
+                axis.product(axis.backward if inverse else axis.forward, x, y)
+                continue
+            _, t_even, t_odd, t_lo, _, t_mid = axis.views(self.scratch if out is dst else dst)
             if inverse:
                 even, odd = axis.backward
-                axis.product(even, x_even, axis.y_even)
-                axis.product(odd, x_odd, axis.y_odd)
-                np.add(axis.y_lo, axis.y_odd, out=lo)
-                np.subtract(axis.y_lo, axis.y_odd, out=hi)
-                if y_mid is not None:
-                    x[:, r] = y_mid
+                axis.product(even, x_even, t_even)
+                axis.product(odd, x_odd, t_odd)
+                np.add(t_lo, t_odd, out=y_lo)
+                np.subtract(t_lo, t_odd, out=y_hi)
+                if y_mid is not None:  # the middle cell pairs with itself
+                    y_mid[...] = t_mid
             else:
-                np.add(lo, hi, out=axis.y_lo)
-                np.subtract(lo, hi, out=axis.y_odd)
-                if y_mid is not None:
-                    y_mid[...] = x[:, r]
+                np.add(x_lo, x_hi, out=t_lo)
+                np.subtract(x_lo, x_hi, out=t_odd)
+                if x_mid is not None:
+                    t_mid[...] = x_mid
                 even, odd = axis.forward
-                axis.product(even, axis.y_even, x_even)
-                axis.product(odd, axis.y_odd, x_odd)
+                axis.product(even, t_even, y_even)
+                axis.product(odd, t_odd, y_odd)
 
-    def diffuse(self, fields: np.ndarray, decay: np.ndarray) -> None:
+    def diffuse(self, fields: np.ndarray, decay: np.ndarray, kept: bool = False) -> None:
         """D: exact diffusion in place; ``decay`` is exp(tau * eigenvalue)
         (:meth:`decay_for`).
 
         Acts on each field's zero-mean part and adds the mean back, so a
-        constant field stays exactly constant.
+        constant field stays exactly constant.  Leaves the result's
+        ``spectrum`` and ``mean``.  With ``kept``, they already hold those
+        of ``fields``, and D skips the forward transform.
         """
-        flat, mean = fields.reshape(3, -1), self.mean
-        np.add.reduce(flat, axis=1, keepdims=True, out=mean)
-        mean /= flat.shape[1]
-        flat -= mean
-        self._dct(fields, inverse=False)
-        fields *= decay
-        self._dct(fields, inverse=True)
+        flat, spectrum, mean = fields.reshape(3, -1), self.spectrum, self.mean
+        if not kept:
+            np.add.reduce(flat, axis=1, keepdims=True, out=mean)
+            mean /= flat.shape[1]
+            start = spectrum if self.full % 2 == 0 else self.scratch  # see _dct
+            np.subtract(flat, mean, out=start.reshape(3, -1))
+            self._dct(start, spectrum, inverse=False)
+        spectrum *= decay
+        self._dct(spectrum, fields, inverse=True)
         flat += mean
 
     def absorb(self, fields: np.ndarray, tau: float) -> None:
@@ -401,12 +473,19 @@ class _Workspace:
         return min(scheme.cfl_safety / worst, scheme.dt_max)
 
     def step(self, state: State, dt: float, t_new: float) -> State:
-        """:func:`step` of ``state`` by ``dt``, ending at time ``t_new``."""
+        """:func:`step` of ``state`` by ``dt``, ending at time ``t_new``.
+
+        When ``state`` is the one this workspace last returned, D's
+        spectrum still describes it, and the opening D starts from there:
+        Strang's closing half-step of one step and opening half-step of
+        the next cost one forward transform and two inverses.
+        """
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
+        kept, self.kept = state is self.kept, None
         fields = np.array((state.u, state.v, state.w))
         decay = self.decay_for(0.5 * dt)
-        self.diffuse(fields, decay)
+        self.diffuse(fields, decay, kept)
         self.absorb(fields, 0.5 * dt)
         self.advect(fields, dt)
         self.absorb(fields, 0.5 * dt)
@@ -426,7 +505,9 @@ class _Workspace:
         for name, arr, mx in zip("uv", fields, highs):
             if mx > self.scheme.blowup_linf:
                 raise BlowUpDetected(t_new, name, _first_bad_cell(arr == mx), mx)
-        return State(t=t_new, u=u, v=v, w=w)
+        result = State(t=t_new, u=u, v=v, w=w)
+        self.kept = result if lows[2] >= 0.0 else None  # a clipped w is not D's result
+        return result
 
 
 def rhs(

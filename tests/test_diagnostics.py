@@ -546,23 +546,23 @@ def test_weighted_lp_u_fails_on_a_rise_or_a_later_empty_value():
 _DIFFUSE, _ABSORB = solver._Workspace.diffuse, solver._Workspace.absorb
 
 
-def _leaky_diffuse(ws, fields, decay):
-    # loses a billionth of u and v per half step
-    _DIFFUSE(ws, fields, decay)
+def _leaky_diffuse(ws, fields, decay, kept=False):
+    # loses a billionth of u and v per D call
+    _DIFFUSE(ws, fields, decay, kept)
     fields[:2] *= 1.0 - 1e-9
 
 
-def _frozen_density_diffuse(ws, fields, decay):
+def _frozen_density_diffuse(ws, fields, decay, kept=False):
     # u and v do not diffuse
     densities = fields[:2].copy()
-    _DIFFUSE(ws, fields, decay)
+    _DIFFUSE(ws, fields, decay, kept)
     fields[:2] = densities
 
 
-def _frozen_signal_diffuse(ws, fields, decay):
+def _frozen_signal_diffuse(ws, fields, decay, kept=False):
     # w does not diffuse, so only absorption dissipates its gradient
     signal = fields[2].copy()
-    _DIFFUSE(ws, fields, decay)
+    _DIFFUSE(ws, fields, decay, kept)
     fields[2] = signal
 
 

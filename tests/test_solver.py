@@ -479,6 +479,23 @@ def test_diffusion_is_exact_on_eigenmodes(cells):
     np.testing.assert_allclose(fields, expected, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("cells", [(7,), (16,), (12, 9), (6, 5, 4)])
+def test_full_and_split_plans_give_the_same_diffusion(cells, monkeypatch):
+    # the one-matrix DCT and the parity-split one are one transform: D by
+    # either agrees to a few ulps of the data
+    g = Grid(lengths=(1.0,) * len(cells), cells=cells)
+    fields = np.random.default_rng(2).random((3,) + cells)
+    results = []
+    for full in (True, False):
+        monkeypatch.setattr(solver, "_full_plan", lambda m, n, full=full: full)
+        ws = solver._Workspace(g, PARAMS, CENTRAL)
+        assert [axis.full for axis in ws.axes] == [full] * len(cells)
+        out = fields.copy()
+        ws.diffuse(out, ws.decay_for(2e-3))
+        results.append(out)
+    assert np.abs(results[0] - results[1]).max() <= 8 * np.finfo(float).eps
+
+
 _CELLS = {1: 24, 2: 12, 3: 6}
 
 
@@ -549,26 +566,27 @@ def test_upwind_chemotaxis_splits_when_the_signal_steepens():
 
 
 @pytest.mark.parametrize("scheme", ["central", "upwind"])
-def test_reflection_symmetry_is_preserved_exactly(scheme):
-    g = Grid(lengths=(1.0, 1.0), cells=(16, 12))
-    x, y = g.center_mesh()
-    opts = SchemeOptions(advection=scheme)
-
-    def symmetrize(a):
-        return 0.5 * (a + a[::-1, :])
-
-    st = State(
-        0.0,
-        symmetrize(1.0 + 0.5 * np.cos(2 * np.pi * x) * np.cos(np.pi * y)),
-        symmetrize(1.0 + 0.25 * np.cos(2 * np.pi * x)),
-        symmetrize(0.3 + 0.2 * np.cos(2 * np.pi * x)),
-    )
-    assert np.array_equal(st.u, st.u[::-1, :])
-    for _ in range(100):
-        dt = stable_dt(st, PARAMS, g, opts)
-        st = step(st, dt, PARAMS, g, opts)
-    for arr in (st.u, st.v, st.w):
-        assert np.array_equal(arr, arr[::-1, :])
+def test_reflection_symmetry_is_kept_to_rounding(scheme):
+    # data symmetric under the reflection of one axis stays symmetric to a
+    # few ulps of its maximum, for every axis of odd and even 2-D and 3-D
+    # grids.  Not exactly: the product along another axis rounds mirrored
+    # lines differently, and so do a full-plan axis's mirrored cosines.
+    opts = SchemeOptions(advection=scheme, dt_max=1e-3)  # 100 steps to t = 0.1
+    eps = np.finfo(float).eps
+    for cells in [(31, 12), (32, 12), (31, 17), (32, 17), (16, 12), (7, 6, 5), (8, 9, 6)]:
+        g = Grid(lengths=(1.0,) * len(cells), cells=cells)
+        base = np.reshape([1.0, 1.0, 0.3], (3,) + (1,) * len(cells))
+        for axis in range(len(cells)):
+            fields = base + 0.1 * np.random.default_rng(3).random((3,) + cells)
+            fields = 0.5 * (fields + np.flip(fields, axis + 1))
+            st = State(0.0, *fields)
+            ws = solver._Workspace(g, PARAMS, opts)
+            for _ in range(100):
+                dt = ws.stable_dt(st)
+                st = ws.step(st, dt, st.t + dt)
+            for arr in (st.u, st.v, st.w):
+                asymmetry = np.abs(arr - np.flip(arr, axis)).max()
+                assert asymmetry <= 8 * eps * np.abs(arr).max(), (cells, axis)
 
 
 # --------------------------------------------------------------------- run
@@ -717,10 +735,72 @@ def test_step_reads_its_input_and_returns_fresh_arrays(opts):
         assert not any(np.shares_memory(x, y) for x in a for y in b)
 
 
+def _count_transforms(ws):
+    """Count the workspace's DCTs, forward or inverse, in ``ws.transforms``."""
+    ws.transforms, dct = 0, ws._dct
+
+    def counted(*args, **kwargs):
+        ws.transforms += 1
+        dct(*args, **kwargs)
+
+    ws._dct = counted
+
+
+@pytest.mark.parametrize("cells", [(64,), (12, 9), (6, 5, 4)])
+def test_run_matches_public_steps_over_its_step_sequence(cells, monkeypatch):
+    # a run merges one step's closing D with the next step's opening D, 3
+    # DCTs a step; the public step transforms its input afresh, 4 a step.
+    # Over the run's own dt sequence both end on the same state to rounding.
+    config = reference_scenario(cells, t_end=0.1, scheme="upwind")
+    grid, params, opts = config.grid, config.params, config.options
+    dts, workspaces, step_in_run = [], [], solver._Workspace.step
+
+    def recorded(ws, state, dt, t_new):
+        if not workspaces:
+            workspaces.append(ws)
+            _count_transforms(ws)
+        dts.append(dt)
+        return step_in_run(ws, state, dt, t_new)
+
+    monkeypatch.setattr(solver._Workspace, "step", recorded)
+    res = run(config)
+    monkeypatch.undo()
+    assert res.outcome == "completed" and res.steps == len(dts) > 10
+    assert workspaces[0].transforms == 3 * len(dts) + 1
+    state = State(0.0, *config.initial.build(grid))
+    for dt in dts:
+        state = step(state, dt, params, grid, opts)
+    final = res.final_state
+    for alone, merged in ((state.u, final.u), (state.v, final.v), (state.w, final.w)):
+        assert np.abs(alone - merged).max() <= 1e-13 * np.abs(alone).max()
+
+
+def test_a_step_that_clips_w_makes_the_next_start_from_the_clipped_state():
+    # a spike of w diffuses to rounding-level negatives in its far cells,
+    # which the step clips to 0; the clipped w is no longer D's result, so
+    # the next step transforms it afresh, exactly as a lone step does
+    g = Grid(lengths=(1.0, 1.0), cells=(12, 9))
+    w = np.zeros(g.shape)
+    w[3, 0] = 1.0
+    first = State(0.0, np.ones(g.shape), np.ones(g.shape), w)
+    ws = solver._Workspace(g, PARAMS, UPWIND)
+    _count_transforms(ws)
+    clipped = ws.step(first, ws.stable_dt(first), 0.01)
+    assert clipped.w.min() == 0.0 and ws.transforms == 4
+    assert ws.kept is None
+    dt = ws.stable_dt(clipped)
+    after = ws.step(clipped, dt, clipped.t + dt)
+    assert ws.transforms == 8 and ws.kept is after
+    assert _fields(after) == _fields(step(clipped, dt, PARAMS, g, UPWIND))
+    ws.step(after, dt, after.t + dt)
+    assert ws.transforms == 11  # the unclipped state's spectrum was kept
+
+
 def _poison(ws):
     """Fill every buffer a call must fill before it reads; ``decay`` is a
     cache keyed by its tau and stays."""
     ws.scratch.fill(np.nan)
+    ws.spectrum.fill(np.nan)
     ws.mean.fill(np.nan)
     for axis in ws.axes:
         axis.dw.fill(np.nan)

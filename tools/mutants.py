@@ -95,8 +95,23 @@ MUTANTS = [
     ),
     (
         "the middle cell of an odd axis read one column early", SOLVER,
-        "        self.y_mid = y[:, r] if q > r else None  #",
-        "        self.y_mid = y[:, r - 1] if q > r else None  #",
+        "            middle = x[:, r] if q > r else None\n",
+        "            middle = x[:, r - 1] if q > r else None\n",
+    ),
+    (
+        "the merged opening D drops the previous step's closing half-step", SOLVER,
+        "        spectrum *= decay\n",
+        "        spectrum = spectrum * decay  # the kept spectrum stays undecayed\n",
+    ),
+    (
+        "a full-plan axis inverts with its forward matrix", SOLVER,
+        "                axis.product(axis.backward if inverse else axis.forward, x, y)\n",
+        "                axis.product(axis.forward, x, y)\n",
+    ),
+    (
+        "the kept spectrum survives a w clip", SOLVER,
+        "        self.kept = result if lows[2] >= 0.0 else None  #",
+        "        self.kept = result  #",
     ),
     (
         "the mirror slice one cell inward", SOLVER,
