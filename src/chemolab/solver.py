@@ -55,8 +55,6 @@ from .model import (
     SchemeOptions,
     State,
     _first_bad_cell,
-    _hi,
-    _lo,
     validate_initial_data,
 )
 from .weight import (
@@ -172,8 +170,7 @@ def _full_plan(m: int, cells: int) -> bool:
 class _Axis:
     """One axis of a :class:`_Workspace`, m cells of width h: its DCT plan
     and its views of the DCT's buffers (:meth:`views`), the zero-flux
-    Laplacian's eigenvalues along it (``eig``), its face slices and h^2,
-    and its views of the shared face buffers and of ``rate``.
+    Laplacian's eigenvalues along it (``eig``), h^2, and its face views.
 
     The plan applies the orthonormal DCT-II of the axis, C[k, i] =
     s_k cos(pi k (2i+1) / (2m)), to every line of the stacked fields along
@@ -189,19 +186,38 @@ class _Axis:
     ``odd.T @ O``.  ``even`` is q x q, ``odd`` is r x r and symmetric, and
     ``eig`` lists the even modes first.  ``eig`` holds -(4/h^2)
     sin^2(pi k / (2m)) in the axis's spectral layout.
+
+    Faces are kept in flat cell order.  With ``post`` the product of the
+    cell counts after the axis, slot i joins cell i to cell i + post, for
+    the first ``n`` = cells - post cells, so a field's low sides are
+    ``flat[..., :n]`` and its high sides ``flat[..., post:]``, both
+    contiguous.  A slot whose low cell is the last of its line along the
+    axis is a wrap slot: it joins two different lines (only on axes after
+    the first).  Every difference zeroes its wrap slots right after it is
+    taken, through ``wrap`` or ``diff_wrap``; a zero difference carries a
+    zero flux and rate, so the wrap slots leave every cell as it was.
+
+    The face views: ``dw``, w's differences during A, in the axis's row of
+    the workspace's ``spectrum``; ``up``, A's upwind mask (dw > 0), one row
+    of the workspace's masks; ``diff`` in ``scratch[1]``, the differences
+    :meth:`_Workspace.stable_dt` takes and A's scaled |dw|; ``flux``, both
+    species' flux, in the buffer the axes share; ``coef``, chi1 and chi2
+    times A's stage length / h^2 as a (2, 1) column; the low and high
+    sides of the workspace's ``rate``, and ``rate_scale``, max(chi1, chi2)
+    / h^2, which the workspace sets.
     """
 
-    __slots__ = ("full", "q", "r", "view", "mirror", "cache", "right", "forward",
-                 "backward", "eig", "lo", "hi", "lo2", "hi2", "h2", "dw", "up", "flux",
-                 "rate_lo", "rate_hi")
+    __slots__ = ("full", "q", "r", "m", "view", "mirror", "cache", "right", "forward",
+                 "backward", "eig", "h2", "post", "n", "dw", "wrap", "up", "diff",
+                 "diff_wrap", "flux", "coef", "rate_lo", "rate_hi", "rate_scale")
 
-    def __init__(self, axis: int, grid: Grid, buffers: tuple[np.ndarray, ...],
-                 rate: np.ndarray, dw: np.ndarray, up: np.ndarray, flux: np.ndarray):
+    def __init__(self, axis: int, grid: Grid, spectrum: np.ndarray, scratch: np.ndarray,
+                 up: np.ndarray, flux: np.ndarray):
         m, h, dim = grid.cells[axis], grid.spacing[axis], grid.dim
         cells = math.prod(grid.cells)
         self.full = _full_plan(m, cells)
         self.q, self.r = q, r = (m + 1) // 2, m // 2
-        self.h2 = h * h
+        self.m, self.h2 = m, h * h
         k = np.arange(m)
         # cos(pi k (2i+1) / (2m)), the angle reduced exactly (whole floats)
         basis = np.multiply.outer(k, 2 * k + 1, dtype=float)
@@ -230,15 +246,20 @@ class _Axis:
                 self.forward, self.backward = (even, odd), (even.T, odd.T)
         self.mirror = slice(m - 1, q - 1, -1)  # cells m-1 .. m-r, partners of 0 .. r-1
         self.cache = {}
-        for buf in buffers:
+        for buf in spectrum, scratch:
             self.cache[id(buf)] = self.views(buf)
-        self.lo, self.hi = _lo(axis, dim), _hi(axis, dim)
-        self.lo2, self.hi2 = _lo(axis + 1, dim + 1), _hi(axis + 1, dim + 1)
-        shape = grid.cells[:axis] + (m - 1,) + grid.cells[axis + 1 :]
-        n = math.prod(shape)
-        self.dw, self.up = dw[:n].reshape(shape), up[:n].reshape(shape)
-        self.flux = flux[: 2 * n].reshape((2,) + shape)
-        self.rate_lo, self.rate_hi = rate[self.lo], rate[self.hi]
+        n = cells - post
+        self.post, self.n = post, n
+        self.dw = spectrum[axis].reshape(-1)[:n]
+        self.diff = scratch[1].reshape(-1)[:n]
+        # the first axis's faces end where its last line starts: no wrap slot
+        self.wrap = self.dw.reshape(-1, post)[m - 1 :: m] if axis else None
+        self.diff_wrap = self.diff.reshape(-1, post)[m - 1 :: m] if axis else None
+        self.up = up[axis, :n]
+        self.flux = flux[: 2 * n].reshape(2, n)
+        self.coef = np.empty((2, 1))
+        rate = scratch[2].reshape(-1)
+        self.rate_lo, self.rate_hi = rate[:n], rate[post:]
 
     def views(self, buf: np.ndarray) -> tuple:
         """The stacked ``buf`` along the axis: whole, its first q and last r
@@ -263,21 +284,26 @@ class _Workspace:
     everything a step needs besides its state, built once.
 
     * ``scratch``, three fields: the second buffer of every DCT, the two
-      exponents of R (rows 0 and 1), :meth:`stable_dt`'s v term (row 0),
-      and A's Heun stage (``stage``, u and v) and face rate (``rate``,
-      w's row);
+      exponents of R (rows 0 and 1), :meth:`stable_dt`'s v term (row 0)
+      and signal differences (row 1), and A's Heun stage (``stage``, u and
+      v) and face rate (``rate``, w's row);
     * ``spectrum`` and ``mean``, what D leaves behind: the DCT-II of each
-      field's zero-mean part and each field's mean, of D's last result;
+      field's zero-mean part and each field's mean, of D's last result.
+      Between the opening D's inverse transform and the closing D's forward
+      transform ``spectrum`` holds nothing live, so A borrows it: row k
+      holds w's face differences along axis k (``_Axis.dw``), taken once
+      per A call, since w is frozen in A;
     * ``kept``, the state :meth:`step` last returned when ``spectrum`` and
       ``mean`` still describe it (None when the step clipped w), so that
-      the next step's opening D starts from them;
+      the next step's opening D starts from them.  A method that writes
+      ``spectrum`` outside :meth:`step` sets it to None first;
+      :meth:`stable_dt` runs between steps and writes only ``scratch``;
     * ``decay``, exp(tau * eigenvalue) for the tau of :meth:`decay_for`'s
       last call;
-    * one set of face buffers, sized for the axis with the most faces and
-      shared by all axes: the signal difference ``dw`` (|dw| in
-      :meth:`face_rate`), the upwind mask ``up`` (dw > 0) and the flux of
-      both species.  A method that reads them fills them first, so no call
-      depends on what an earlier one left;
+    * one upwind mask per axis, and one flux buffer for both species,
+      two fields long and shared by all axes.  A
+      method that reads the face views of :class:`_Axis` fills them first,
+      so no call depends on what an earlier one left;
     * ``axes``, one :class:`_Axis` per axis, in axis order, and ``full``,
       how many of them take the one-matrix plan.
 
@@ -289,18 +315,20 @@ class _Workspace:
     def __init__(self, grid: Grid, params: ModelParams, scheme: SchemeOptions):
         self.params, self.scheme = params, scheme
         self.chi = max(params.chi1, params.chi2)
+        self.upwind = scheme.advection == "upwind"
         self.scratch = np.empty((3,) + grid.shape)
         self.stage, self.rate = self.scratch[:2], self.scratch[2]
         self.spectrum, self.mean = np.empty((3,) + grid.shape), np.empty((3, 1))
         self.kept = None
         self.decay, self.tau = np.empty(grid.shape), None
         cells = math.prod(grid.cells)
-        most = cells - cells // max(grid.cells)  # faces along the axis of most cells
-        dw, up, flux = np.empty(most), np.empty(most, bool), np.empty(2 * most)
-        buffers = self.spectrum, self.scratch
-        self.axes = [_Axis(axis, grid, buffers, self.rate, dw, up, flux)
+        up, flux = np.empty((grid.dim, cells), bool), np.empty(2 * cells)
+        self.axes = [_Axis(axis, grid, self.spectrum, self.scratch, up, flux)
                      for axis in range(grid.dim)]
         self.full = sum(axis.full for axis in self.axes)
+        for axis in self.axes:
+            axis.rate_scale = self.chi / axis.h2
+        self.stage_faces = self.faces(self.stage.reshape(2, -1))
 
     def decay_for(self, tau: float) -> np.ndarray:
         """exp(tau * eigenvalue), a mode's eigenvalue the sum of its per-axis
@@ -388,40 +416,63 @@ class _Workspace:
         np.exp(exponent, out=exponent)
         fields[2] *= exponent
 
-    def face_rate(self, w: np.ndarray) -> np.ndarray:
+    def faces(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each axis's low and high face sides of the flattened ``flat``."""
+        return [(flat[..., : axis.n], flat[..., axis.post :]) for axis in self.axes]
+
+    def signal_faces(self, w: np.ndarray) -> None:
+        """Fill each axis's ``dw`` with the flattened signal ``w``'s face
+        differences, and for upwind its ``up`` mask: the face data of w
+        that A and :meth:`rhs` read.  Writes ``spectrum``."""
+        for axis in self.axes:
+            np.subtract(w[axis.post :], w[: axis.n], out=axis.dw)
+            if axis.wrap is not None:
+                axis.wrap.fill(0.0)
+            if self.upwind:
+                np.greater(axis.dw, 0.0, out=axis.up)
+
+    def face_rate(self, w: np.ndarray | None = None) -> np.ndarray:
         """Add each cell's advective face rate, chi |grad w| / h summed over
         the cell's faces with chi = max(chi1, chi2), to ``rate`` and return
         it: the one bound behind :meth:`stable_dt` and the chemotaxis
-        substeps."""
+        substeps.  Reads the ``dw`` of :meth:`signal_faces`, or with the
+        flattened signal ``w`` takes its differences in ``scratch[1]``."""
         for axis in self.axes:
-            scale = self.chi / axis.h2
+            scale = axis.rate_scale
             if scale == math.inf:  # no number bounds the step; skip 0 * inf's warning
                 self.rate.fill(math.nan)
                 break
-            rate = axis.dw
-            np.subtract(w[axis.hi], w[axis.lo], out=rate)
-            np.abs(rate, out=rate)
+            rate = axis.diff
+            if w is None:
+                np.abs(axis.dw, out=rate)
+            else:
+                np.subtract(w[axis.post :], w[: axis.n], out=rate)
+                if axis.diff_wrap is not None:
+                    axis.diff_wrap.fill(0.0)
+                np.abs(rate, out=rate)
             rate *= scale
             axis.rate_lo += rate
             axis.rate_hi += rate
         return self.rate
 
-    def transport(self, dens: np.ndarray, w: np.ndarray, out: np.ndarray, dt: float) -> None:
-        """Add dt times the chemotaxis term -div(chi d grad w) of the stacked
-        densities ``dens`` (species first) to ``out`` (dt = 1 in :meth:`rhs`)."""
-        params, scheme = self.params, self.scheme.advection
-        upwind = scheme == "upwind"
+    def scale_fluxes(self, dt: float) -> None:
+        """Set each axis's ``coef`` for stages of length ``dt``."""
+        chi1, chi2 = self.params.chi1, self.params.chi2
         for axis in self.axes:
             tau = dt / axis.h2
-            np.subtract(w[axis.hi], w[axis.lo], out=axis.dw)
-            if upwind:
-                np.greater(axis.dw, 0.0, out=axis.up)
-            lo, hi = axis.lo2, axis.hi2
-            flux = _face_density(dens[lo], dens[hi], axis.up, scheme, axis.flux)
+            axis.coef[0, 0], axis.coef[1, 0] = chi1 * tau, chi2 * tau
+
+    def transport(self, dens: list, out: list) -> None:
+        """Add the stage length times the chemotaxis term -div(chi d grad w)
+        of the stacked densities (species first) to the target: ``dens``
+        and ``out`` hold each axis's low and high face sides of both
+        (:meth:`faces`).  Reads the face data of :meth:`signal_faces` and
+        :meth:`scale_fluxes` (a stage of length 1 in :meth:`rhs`)."""
+        scheme = self.scheme.advection
+        for axis, (d_lo, d_hi), (out_lo, out_hi) in zip(self.axes, dens, out):
+            flux = _face_density(d_lo, d_hi, axis.up, scheme, axis.flux)
             flux *= axis.dw
-            flux[0] *= params.chi1 * tau
-            flux[1] *= params.chi2 * tau
-            out_lo, out_hi = out[lo], out[hi]
+            flux *= axis.coef
             out_lo -= flux
             out_hi += flux
 
@@ -433,32 +484,40 @@ class _Workspace:
         length times :meth:`face_rate` stays at most 1 in every cell.
         :meth:`stable_dt` sees w before D and R, which can steepen it, so A
         takes the fewest equal Heun steps that keep that bound: one, unless
-        the signal steepened.
+        the signal steepened.  w's face data is built once, for every stage.
         """
-        dens, w, stage = fields[:2], fields[2], self.stage
+        flat, dens, stage = fields.reshape(3, -1), fields[:2], self.stage
+        self.signal_faces(flat[2])
         self.rate.fill(0.0)
-        rate = self.face_rate(w)
+        rate = self.face_rate()
         needed = dt * float(np.maximum.reduce(rate, axis=None))
         substeps = math.ceil(needed) if 1.0 < needed < math.inf else 1  # NaN -> 1
-        tau = dt / substeps
+        self.scale_fluxes(dt / substeps)
+        dens_faces, stage_faces = self.faces(flat[:2]), self.stage_faces
         for _ in range(substeps):
             np.copyto(stage, dens)
-            self.transport(dens, w, stage, tau)
+            self.transport(dens_faces, stage_faces)
             dens += stage
-            self.transport(stage, w, dens, tau)
+            self.transport(stage_faces, dens_faces)
             dens *= 0.5
 
     def rhs(self, state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:func:`rhs` of ``state``."""
         params = self.params
+        self.kept = None  # signal_faces writes spectrum
         fields = np.array((state.u, state.v, state.w))
         out = np.zeros_like(fields)
-        for axis in self.axes:
-            flux = fields[axis.hi2] - fields[axis.lo2]
+        flat, out_flat = fields.reshape(3, -1), out.reshape(3, -1)
+        for axis, (lo, hi), (out_lo, out_hi) in zip(self.axes, self.faces(flat),
+                                                   self.faces(out_flat)):
+            flux = hi - lo
+            flux.reshape(3, -1, axis.post)[:, axis.m - 1 :: axis.m] = 0.0  # wrap slots
             flux /= axis.h2
-            out[axis.lo2] += flux
-            out[axis.hi2] -= flux
-        self.transport(fields[:2], fields[2], out[:2], 1.0)
+            out_lo += flux
+            out_hi -= flux
+        self.signal_faces(flat[2])
+        self.scale_fluxes(1.0)
+        self.transport(self.faces(flat[:2]), self.faces(out_flat[:2]))
         out[2] -= (params.alpha * state.u + params.beta * state.v) * state.w
         return out[0], out[1], out[2]
 
@@ -468,7 +527,7 @@ class _Workspace:
         with np.errstate(over="ignore"):  # a rate beyond float range stalls the run
             rate = np.multiply(state.u, params.alpha, out=self.rate)
             rate += np.multiply(state.v, params.beta, out=self.scratch[0])
-        self.face_rate(state.w)
+        self.face_rate(state.w.ravel())
         worst = max(float(np.maximum.reduce(rate, axis=None)), _NORMAL)
         return min(scheme.cfl_safety / worst, scheme.dt_max)
 

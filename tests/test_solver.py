@@ -10,17 +10,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy.integrate import solve_ivp
 
 from chemolab import solver
 from chemolab.convergence import refinement_study
 from chemolab.model import (
     ConstantInit,
     CosineBumpInit,
+    FileInit,
     Grid,
     InitialSpec,
     ModelParams,
     ScenarioConfig,
     State,
+    _hi,
+    _lo,
+    write_field_raw,
 )
 from chemolab.solver import (
     BlowUpDetected,
@@ -194,16 +199,29 @@ def _composed_rhs(state, params, g, scheme):
     return du, dv, dw - (params.alpha * state.u + params.beta * state.v) * state.w
 
 
-def _composition_case():
+# odd and even cell counts and unequal sides in 1-D, 2-D and 3-D: every axis
+# after the first has faces that wrap from one line to the next in the
+# solver's flat face layout, and none of them may carry a flux or a rate
+COMPOSITION_CELLS = pytest.mark.parametrize(
+    "cells", [(7,), (10, 11), (4, 3, 5)], ids=["1d", "2d", "3d"]
+)
+
+
+def _composition_grid(cells):
+    return Grid(lengths=(1.0, 0.8, 1.3)[: len(cells)], cells=cells)
+
+
+def _composition_case(cells=(10, 11)):
     rng = np.random.default_rng(4)
-    g = Grid(lengths=(1.0, 1.0), cells=(10, 11))
+    g = _composition_grid(cells)
     u = 1.0 + rng.random(g.shape)
     v = 1.0 + rng.random(g.shape)
     return g, State(0.0, u, v, rng.random(g.shape)), ModelParams(1.3, 0.8, 0.9, 1.1)
 
 
-def test_rhs_matches_flux_divergence_composition():
-    g, st, params = _composition_case()
+@COMPOSITION_CELLS
+def test_rhs_matches_flux_divergence_composition(cells):
+    g, st, params = _composition_case(cells)
     for opts in (CENTRAL, UPWIND):
         expected = _composed_rhs(st, params, g, opts.advection)
         for got, want in zip(rhs(st, params, g, opts), expected):
@@ -321,6 +339,22 @@ def test_stable_dt_uses_the_larger_sensitivity():
     assert dt == pytest.approx(0.5 / (2.0 * 3.0 * 40.0 / h + 2.0), rel=1e-12)
 
 
+@COMPOSITION_CELLS
+def test_stable_dt_rate_matches_the_reference_face_gradients(cells):
+    # each cell's rate is alpha u + beta v plus max(chi1, chi2) |grad w| / h
+    # over its own faces, from tests/reference_fv.py; a face that wrapped
+    # from one line to the next would add a rate no face carries
+    g, st, params = _composition_case(cells)
+    ws = solver._Workspace(g, params, UPWIND)
+    dt = ws.stable_dt(st)
+    chi = max(params.chi1, params.chi2)
+    expected = params.alpha * st.u + params.beta * st.v
+    for k, (gw, h) in enumerate(zip(grad_w_faces(st.w, g), g.spacing)):
+        expected += chi / h * (np.abs(gw[_lo(k, g.dim)]) + np.abs(gw[_hi(k, g.dim)]))
+    assert np.allclose(ws.rate, expected, rtol=1e-12, atol=0.0)
+    assert dt == pytest.approx(0.5 / expected.max(), rel=1e-12)
+
+
 def test_stable_dt_caps_at_dt_max():
     g = grid1d(4)
     st = State(0.0, np.ones(4), np.ones(4), np.zeros(4))
@@ -425,13 +459,13 @@ def _generator(op, fields, tau=1e-7):
     return (4.0 * (one - fields) - (two - fields)) / (2.0 * tau)
 
 
+@COMPOSITION_CELLS
 @pytest.mark.parametrize("opts", [CENTRAL, UPWIND], ids=["central", "upwind"])
-def test_split_generators_sum_to_rhs(opts):
+def test_split_generators_sum_to_rhs(opts, cells):
     # D, R and A are the flows of the diffusion, absorption and chemotaxis
-    # parts of rhs, so their generators add up to rhs; odd and even cell
-    # counts, unequal sides
+    # parts of rhs, so their generators add up to rhs
     rng = np.random.default_rng(5)
-    g = Grid(lengths=(1.0, 0.8), cells=(12, 9))
+    g = _composition_grid(cells)
     fields = 1.0 + rng.random((3,) + g.shape)
     fields[2] -= 1.0
     params = ModelParams(1.3, 0.7, 0.9, 1.1)
@@ -454,6 +488,43 @@ def test_split_generators_sum_to_rhs(opts):
         fluxes = [species_flux(f, 0.0, gw, "central", g, k) for k, gw in gws]
         laplacian = -divergence(fluxes, g)
         assert np.abs(got - laplacian).max() <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("scheme", ["central", "upwind"])
+def test_run_converges_at_second_order_to_an_independent_trajectory(scheme, tmp_path):
+    # the method of lines on tests/reference_fv.py, which shares no code
+    # with the solver, integrated by scipy's DOP853 far below the stepper's
+    # error, on rough data with chi1 != chi2 and alpha != beta.  Measured:
+    # errors 3.0e-7 and 7.6e-8 (central), 2.4e-7 and 6.2e-8 (upwind), orders
+    # 1.98; chemotaxis at 90 % of its strength misses by 1.2e-4 at any dt
+    g = Grid(lengths=(1.0, 0.8), cells=(6, 5))
+    params = ModelParams(chi1=1.3, chi2=0.7, alpha=1.1, beta=0.6)
+    fields = np.random.default_rng(14).random((3,) + g.shape)
+    fields[:2] = 1.0 + 0.5 * fields[:2]
+    fields[2] = 0.2 + 0.6 * fields[2]
+    for name, field in zip("uvw", fields):
+        write_field_raw(field, tmp_path / f"{name}.raw")
+    initial = InitialSpec(*(FileInit(str(tmp_path / f"{name}.raw")) for name in "uvw"))
+    t_end = 0.5
+
+    def method_of_lines(t, y):
+        du_dv_dw = _composed_rhs(State(t, *y.reshape(fields.shape)), params, g, scheme)
+        return np.concatenate([d.ravel() for d in du_dv_dw])
+
+    oracle = solve_ivp(method_of_lines, (0.0, t_end), fields.ravel(), method="DOP853",
+                       rtol=1e-10, atol=1e-12)
+    assert oracle.success
+    exact = oracle.y[:, -1].reshape(fields.shape)
+    errors = []
+    for dt_max in (1.25e-3, 6.25e-4):  # coarser steps are pre-asymptotic on rough data
+        options = SchemeOptions(advection=scheme, dt_max=dt_max)
+        res = run(ScenarioConfig(params, g, initial, t_end, output_every=t_end,
+                                 options=options))
+        assert res.outcome == "completed"
+        final = res.final_state
+        errors.append(np.abs(np.stack((final.u, final.v, final.w)) - exact).max())
+    assert math.log2(errors[0] / errors[1]) >= 1.9
+    assert errors[1] <= 1.5e-7  # twice the larger measured error
 
 
 @pytest.mark.parametrize("cells", [(7,), (16,), (6, 5), (4, 3, 5)])
@@ -803,8 +874,12 @@ def _poison(ws):
     ws.spectrum.fill(np.nan)
     ws.mean.fill(np.nan)
     for axis in ws.axes:
-        axis.dw.fill(np.nan)
+        # the other face views are views of spectrum (dw and its wrap slots)
+        # and of scratch (diff and its wrap slots, the sides of rate and stage)
+        assert np.shares_memory(axis.dw, ws.spectrum)
+        assert np.shares_memory(axis.diff, ws.scratch)
         axis.flux.fill(np.nan)
+        axis.coef.fill(np.nan)
         axis.up.fill(True)
 
 
@@ -825,6 +900,23 @@ def test_no_call_reads_what_an_earlier_one_left_in_the_workspace(cells, opts):
     for name, call in calls.items():
         _poison(ws)
         assert call() == fresh[name], name
+
+
+def test_rhs_between_two_steps_leaves_the_second_step_as_a_fresh_one():
+    # rhs lends spectrum to w's face data, so it drops the kept spectrum:
+    # the next step transforms its state afresh, byte for byte the public step
+    config = reference_scenario((12, 9), scheme="upwind")
+    grid, params, opts = config.grid, config.params, config.options
+    state = State(0.0, *config.initial.build(grid))
+    ws = solver._Workspace(grid, params, opts)
+    dt = ws.stable_dt(state)
+    first = ws.step(state, dt, dt)
+    assert ws.kept is first
+    ws.rhs(first)
+    assert ws.kept is None
+    second = ws.step(first, dt, 2 * dt)
+    assert ws.kept is second
+    assert _fields(second) == _fields(step(first, dt, params, grid, opts))
 
 
 def test_concurrent_runs_match_runs_one_after_the_other():

@@ -47,8 +47,8 @@ MUTANTS = [
     ),
     (
         "v moved with chi1", SOLVER,
-        "            flux[1] *= params.chi2 * tau\n",
-        "            flux[1] *= params.chi1 * tau\n",
+        "            axis.coef[0, 0], axis.coef[1, 0] = chi1 * tau, chi2 * tau\n",
+        "            axis.coef[0, 0], axis.coef[1, 0] = chi1 * tau, chi1 * tau\n",
     ),
     (
         "face rate (stable_dt, substeps) bounds with chi1 only", SOLVER,
@@ -130,8 +130,48 @@ MUTANTS = [
     ),
     (
         "the stacked face slices one axis off", SOLVER,
-        "        self.lo2, self.hi2 = _lo(axis + 1, dim + 1), _hi(axis + 1, dim + 1)\n",
-        "        self.lo2, self.hi2 = _lo(axis, dim + 1), _hi(axis, dim + 1)\n",
+        "        return [(flat[..., : axis.n], flat[..., axis.post :]) for axis in self.axes]\n",
+        "        return [(flat[: axis.n], flat[axis.post :]) for axis in self.axes]\n",
+    ),
+    (
+        "A's signal differences keep their wrap slots", SOLVER,
+        "            if axis.wrap is not None:\n"
+        "                axis.wrap.fill(0.0)\n",
+        "",
+    ),
+    (
+        "stable_dt's signal differences keep their wrap slots", SOLVER,
+        "                if axis.diff_wrap is not None:\n"
+        "                    axis.diff_wrap.fill(0.0)\n",
+        "",
+    ),
+    (
+        "the faces of an axis use the next axis's stride", SOLVER,
+        "        n = cells - post\n",
+        "        post = math.prod(grid.cells[axis + 2 :])\n"
+        "        n = cells - post\n",
+    ),
+    (
+        "chemotaxis at 90 % of its strength", SOLVER,
+        "        self.advect(fields, dt)\n",
+        "        self.advect(fields, 0.9 * dt)\n",
+    ),
+    (
+        "chemotaxis at half its strength", SOLVER,
+        "        self.advect(fields, dt)\n",
+        "        self.advect(fields, 0.5 * dt)\n",
+    ),
+    (
+        "diffusion at 90 % of its strength", SOLVER,
+        "        decay = self.decay_for(0.5 * dt)\n",
+        "        decay = self.decay_for(0.45 * dt)\n",
+    ),
+    (
+        "the first R at 90 % of its strength", SOLVER,
+        "        self.absorb(fields, 0.5 * dt)\n"
+        "        self.advect(fields, dt)\n",
+        "        self.absorb(fields, 0.45 * dt)\n"
+        "        self.advect(fields, dt)\n",
     ),
     (
         "a landed step ends at t + dt, not at its output time", SOLVER,
