@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 
 from .config import parse_config  # noqa: F401
 from .diagnostics import (  # noqa: F401
+    COLUMNS,
     DecayFit,
-    DiagnosticsRecord,
     RunContext,
     VerificationReport,
     dirichlet_energy,

@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import json
 import math
-import operator
 import os
 import sys
 from dataclasses import asdict
@@ -25,48 +24,50 @@ import numpy as np
 from . import __version__
 from .config import config_digest, parse_config
 from .convergence import refinement_study
-from .diagnostics import RECORD_FIELDS, DiagnosticsRecord, verify_run
+from .diagnostics import COLUMNS, TABLE_DTYPE, verify_run
 from .model import threshold_check, write_field_raw
 from .solver import RunResult, SolverError, run, threshold_weight
 from .weight import make_weight
 
-__all__ = ["main", "write_diagnostics_csv"]
+__all__ = ["main", "read_diagnostics_csv", "write_diagnostics_csv"]
 
 
 def write_diagnostics_csv(records, path) -> None:
-    """One header row, one row per sample, columns in record-field order.
+    """One header row, one row per sample, columns in :data:`COLUMNS` order.
 
     Values are Python floats in full-precision decimal form (``repr``
-    round-trips them exactly); None is an empty cell.  Rows go to the file
+    round-trips them exactly); a NaN is an empty cell.  Rows go to the file
     one at a time and the text is never held whole: a run holds only its
-    records (about 0.5 KB per sample) and one block of samples.
+    table (120 bytes per sample) and one block of samples.
     """
-    row = operator.attrgetter(*RECORD_FIELDS)
     with Path(path).open("w") as f:
-        f.write(",".join(RECORD_FIELDS) + "\n")
-        f.writelines(
-            ",".join(["" if x is None else repr(x) for x in row(rec)]) + "\n"
-            for rec in records
+        f.write(",".join(COLUMNS) + "\n")
+        f.writelines(  # each row's floats from a 2-D view, one row at a time
+            ",".join(["" if math.isnan(x) else repr(x) for x in row.tolist()]) + "\n"
+            for row in records.view(float).reshape(len(records), len(COLUMNS))
         )
 
 
-def read_diagnostics_csv(path) -> list[DiagnosticsRecord]:
+def read_diagnostics_csv(path) -> np.ndarray:
     """Inverse of :func:`write_diagnostics_csv` (round-trip exact), read one
-    line at a time; a row with the wrong number of cells raises
-    ``ValueError`` naming the file and its line."""
+    line at a time into a table of :data:`TABLE_DTYPE`; a row with the wrong
+    number of cells, a cell that is not a float, or a NaN written out as a
+    value raises ``ValueError`` naming the file and its line."""
     with Path(path).open() as f:
-        if f.readline().rstrip("\n").split(",") != list(RECORD_FIELDS):
+        if f.readline().rstrip("\n").split(",") != list(COLUMNS):
             raise ValueError(f"{path} is not a diagnostics CSV")
-        out = []
+        rows = []
         for lineno, line in enumerate(f, start=2):
             cells = line.rstrip("\n").split(",")
-            if len(cells) != len(RECORD_FIELDS):
-                raise ValueError(
-                    f"{path} line {lineno}: {len(cells)} cells, "
-                    f"expected {len(RECORD_FIELDS)}"
-                )
-            out.append(DiagnosticsRecord(*(float(c) if c else None for c in cells)))
-    return out
+            try:
+                if len(cells) != len(COLUMNS):
+                    raise ValueError(f"{len(cells)} cells, expected {len(COLUMNS)}")
+                rows.append(tuple(float(c) if c else math.nan for c in cells))
+                if sum(map(math.isnan, rows[-1])) > cells.count(""):
+                    raise ValueError("a NaN cell; the format writes NaN as an empty cell")
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
+    return np.array(rows, TABLE_DTYPE)
 
 
 def _write_json(obj, path) -> None:

@@ -1,16 +1,18 @@
 """Scalar diagnostics: masses, norms, energies, the weighted L^p value,
 decay-rate fits and the end-of-run property checks.
 
-Everything here is a pure computation over immutable snapshots.  The
-records of consecutive samples are computed together (:func:`record_block`):
-each of u, v and w is stacked once over them, and each quantity is one
-array operation over a stack.
+Everything here is a pure computation over immutable snapshots.  A run's
+diagnostics are one table: a NumPy array of :data:`TABLE_DTYPE`, one row per
+sample, indexed by the names in :data:`COLUMNS`.  The rows of consecutive
+samples are computed together (:func:`record_block`): each of u, v and w is
+stacked once over them, and each column is one array operation over a
+stack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,7 +21,8 @@ from .model import _NORMAL, Grid, ModelParams, State, _hi, _integrals, _lo
 from .weight import WeightFunction
 
 __all__ = [
-    "DiagnosticsRecord",
+    "COLUMNS",
+    "TABLE_DTYPE",
     "DecayFit",
     "DecayFitError",
     "RunContext",
@@ -45,33 +48,25 @@ _END_STATE_TOL = 1e-3  # distance of u, v and w from their limits at t_end
 _DECAY_WINDOW_FRACTION = 0.5  # trailing share of the samples fit_decay uses
 
 
-@dataclass(frozen=True, slots=True)
-class DiagnosticsRecord:
-    """One time-sample of every tracked scalar quantity.
-
-    Field order is the emitted CSV column order; cumulative time integrals
-    are advanced from the previous record by the trapezoid rule.
-    """
-
-    t: float
-    mass_u: float
-    mass_v: float
-    linf_u: float
-    linf_v: float
-    linf_w: float
-    dev_u: float  # ||u - ubar0||_inf
-    dev_v: float
-    lyapunov: float | None  # (1/p) int u^p phi(chi1 w); None: no weight, not finite,
+COLUMNS = (  # the diagnostics table's columns, in CSV order
+    "t",
+    "mass_u",
+    "mass_v",
+    "linf_u",
+    "linf_v",
+    "linf_w",
+    "dev_u",  # ||u - ubar0||_inf
+    "dev_v",
+    "lyapunov",  # (1/p) int u^p phi(chi1 w); NaN: no weight, not finite,
     # or chi1 max w beyond m + chi1 * _ENVELOPE_TOL (record_block)
-    dirichlet_u: float  # int |grad u|^2 at time t
-    dirichlet_v: float
-    dirichlet_w: float
-    cum_dirichlet_u: float  # int_0^t int |grad u|^2
-    cum_dirichlet_v: float
-    cum_dirichlet_w: float
-
-
-RECORD_FIELDS = tuple(f.name for f in dataclass_fields(DiagnosticsRecord))
+    "dirichlet_u",  # int |grad u|^2 at time t
+    "dirichlet_v",
+    "dirichlet_w",
+    "cum_dirichlet_u",  # int_0^t int |grad u|^2, by the trapezoid rule
+    "cum_dirichlet_v",
+    "cum_dirichlet_w",
+)
+TABLE_DTYPE = np.dtype([(name, float) for name in COLUMNS])  # one row per sample
 
 
 @dataclass(frozen=True)
@@ -154,64 +149,60 @@ def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 def record_block(
-    states: Sequence[State], ctx: RunContext, prev: DiagnosticsRecord | None
-) -> list[DiagnosticsRecord]:
-    """The records of consecutive samples; ``prev`` is the record before the
-    first of them, None at t = 0.
+    states: Sequence[State], ctx: RunContext, prev: np.void | None
+) -> np.ndarray:
+    """The table rows of consecutive samples; ``prev`` is the row of the
+    sample before the first of them, None at t = 0.
 
     Each of u, v and w is stacked once over the samples (a view when there
-    is one), and every quantity is computed from these three stacks, one
+    is one), and every column is computed from these three stacks, one
     array operation per field.  Each sum runs along one field of one
-    sample, as it would for that sample alone: the records equal those of
-    :func:`record`, sample by sample, bit for bit.  The weighted L^p value
-    uses phi(min(chi1 w, m)) and is kept where it is finite and chi1 * max w
-    <= m + chi1 * ``_ENVELOPE_TOL``, the rounding ``signal_envelope`` grants
-    w; elsewhere it is None, so a block never raises.
+    sample, as it would for that sample alone, and the cumulative columns
+    add the trapezoid increments in sample order, from ``prev``'s value or
+    from 0: the rows equal those of :func:`record`, sample by sample, bit
+    for bit.  The weighted L^p value uses phi(min(chi1 w, m)) and is kept
+    where it is finite and chi1 * max w <= m + chi1 * ``_ENVELOPE_TOL``, the
+    rounding ``signal_envelope`` grants w; elsewhere it is NaN, so a block
+    never raises.
     """
     grid, n = ctx.grid, len(states)
     u, v, w = (_stacked([getattr(s, name) for s in states]) for name in "uvw")
     highs = [np.maximum.reduce(f.reshape(n, -1), axis=1) for f in (u, v, w)]
     lows = [np.minimum.reduce(f.reshape(n, -1), axis=1) for f in (u, v, w)]
+    out = np.empty(n, TABLE_DTYPE)
+    out["t"] = [s.t for s in states]
+    out["mass_u"], out["mass_v"] = _integrals(u, grid), _integrals(v, grid)
+    # max |f - c| is max(max f - c, c - min f): rounding is monotone, so this
+    # is the same float without a field-sized temporary
+    for name, hi, lo in zip("uvw", highs, lows):
+        out[f"linf_{name}"] = np.maximum(hi, -lo)
+    for name, hi, lo, c in zip("uv", highs, lows, (ctx.ubar0, ctx.vbar0)):
+        out[f"dev_{name}"] = np.maximum(hi - c, c - lo)
     wf, chi = ctx.weight, ctx.params.chi1
     if wf is None:
-        lyaps = np.full(n, None)
+        out["lyapunov"] = math.nan
     else:
         s = chi * w
         values = _weighted_lp(u, np.minimum(s, wf.m, out=s), wf, grid)
         kept = (chi * highs[2] <= wf.m + chi * _ENVELOPE_TOL) & np.isfinite(values)
-        lyaps = np.where(kept, values, None)
-    # max |f - c| is max(max f - c, c - min f): rounding is monotone, so this
-    # is the same float without a field-sized temporary
-    means = (ctx.ubar0, ctx.vbar0)
-    columns = [  # the record's fields after t and before the cumulatives
-        _integrals(u, grid),
-        _integrals(v, grid),
-        *(np.maximum(hi, -lo) for hi, lo in zip(highs, lows)),
-        *(np.maximum(hi - c, c - lo) for hi, lo, c in zip(highs, lows, means)),
-        lyaps,
-        *(_dirichlet_energies(f, grid) for f in (u, v, w)),
-    ]
-    out = []
-    for state, *row in zip(states, *(c.tolist() for c in columns)):
-        du, dv, dw = row[-3:]
-        if prev is None:
-            cums = (0.0, 0.0, 0.0)
-        else:
-            half_dt = 0.5 * (state.t - prev.t)
-            cums = (
-                prev.cum_dirichlet_u + half_dt * (prev.dirichlet_u + du),
-                prev.cum_dirichlet_v + half_dt * (prev.dirichlet_v + dv),
-                prev.cum_dirichlet_w + half_dt * (prev.dirichlet_w + dw),
+        out["lyapunov"] = np.where(kept, values, math.nan)
+    for name, f in zip("uvw", (u, v, w)):
+        out[f"dirichlet_{name}"] = _dirichlet_energies(f, grid)
+    t = out["t"]
+    half_dt = 0.5 * np.diff(t)
+    with np.errstate(over="ignore"):  # an energy beyond float range: inf
+        for name in "uvw":
+            d, cum = out[f"dirichlet_{name}"], out[f"cum_dirichlet_{name}"]
+            cum[1:] = half_dt * (d[:-1] + d[1:])  # the trapezoid steps, then their sums
+            cum[0] = 0.0 if prev is None else prev[f"cum_dirichlet_{name}"] + (
+                0.5 * (t[0] - prev["t"]) * (prev[f"dirichlet_{name}"] + d[0])
             )
-        prev = DiagnosticsRecord(float(state.t), *row, *cums)
-        out.append(prev)
+            np.add.accumulate(cum, out=cum)
     return out
 
 
-def record(
-    state: State, ctx: RunContext, prev: DiagnosticsRecord | None
-) -> DiagnosticsRecord:
-    """Compute one fully-populated record; pass prev=None for the first.
+def record(state: State, ctx: RunContext, prev: np.void | None) -> np.void:
+    """One sample's table row; pass prev=None for the first.
 
     The one-sample case of :func:`record_block`.
     """
@@ -293,17 +284,17 @@ class VerificationReport:
         return iter(self.checks)
 
 
-def verify_run(
-    records: Sequence[DiagnosticsRecord], ctx: RunContext
-) -> VerificationReport:
-    """Check a completed run against the provable solution properties.
+def verify_run(records: np.ndarray, ctx: RunContext) -> VerificationReport:
+    """Check a completed run's diagnostics table against the provable
+    solution properties.
 
     Each check is independent: mass conservation, the signal maximum
     principle, the signal energy budget, finiteness of the density energy
     integrals, end-state stabilization, the guaranteed signal decay rate,
     and the paper's weighted L^p estimate for u, which is left out when the
-    first record has no weighted value.  Returns a report object; nothing
-    raises.
+    first row has no weighted value.  A failed check is a verdict in the
+    returned report, not an exception; only a table of fewer than two rows
+    raises ``ValueError``.
     """
     if len(records) < 2:
         raise ValueError("verify_run needs at least two records")
@@ -316,16 +307,16 @@ def verify_run(
         checks.append(CheckResult(name, passed, value, threshold, detail))
 
     for name in ("u", "v"):
-        m0 = getattr(records[0], f"mass_{name}")
-        drift = max(abs(getattr(r, f"mass_{name}") - m0) for r in records) / m0
+        m = records[f"mass_{name}"]
+        drift = float(np.abs(m - m[0]).max()) / float(m[0])
         check(
             f"mass_conservation_{name}", drift, _MASS_TOL,
             f"max relative drift of the discrete integral of {name}",
         )
 
-    linf_w = [r.linf_w for r in records]
-    env_excess = max(linf_w) - ctx.w0_max
-    growth = max((b - a for a, b in zip(linf_w, linf_w[1:])), default=0.0)
+    t, linf_w = records["t"], records["linf_w"]
+    env_excess = float(linf_w.max()) - ctx.w0_max
+    growth = float(np.diff(linf_w).max())
     check(
         "signal_envelope", max(env_excess, growth), _ENVELOPE_TOL,
         "max w stays below its initial sup and is nonincreasing; "
@@ -333,20 +324,18 @@ def verify_run(
         passed=env_excess <= _ENVELOPE_TOL and growth <= _ENVELOPE_TOL,
     )
 
-    excess = max(r.cum_dirichlet_w for r in records) - 0.5 * ctx.int_w0_sq
+    excess = float(records["cum_dirichlet_w"].max()) - 0.5 * ctx.int_w0_sq
     check(
         "signal_energy_budget", excess, _ENERGY_BUDGET_TOL,
         "cumulative int int |grad w|^2 minus half int w0^2, at every sample",
     )
 
-    t_end = records[-1].t
-    tail_start = (1.0 - _TAIL_FRACTION) * t_end
-    tail_idx = next(i for i, r in enumerate(records) if r.t >= tail_start)
+    tail_idx = np.argmax(t >= (1.0 - _TAIL_FRACTION) * t[-1])
     for name in ("u", "v"):
-        total = getattr(records[-1], f"cum_dirichlet_{name}")
-        increment = total - getattr(records[tail_idx], f"cum_dirichlet_{name}")
+        cum = records[f"cum_dirichlet_{name}"]
+        total = float(cum[-1])
         check(
-            f"dirichlet_convergence_{name}", increment,
+            f"dirichlet_convergence_{name}", total - float(cum[tail_idx]),
             _TAIL_INCREMENT_TOL * total + 1e-30,
             f"trailing-{_TAIL_FRACTION:.0%} increment of the cumulative "
             f"int int |grad {name}|^2 (finiteness of the energy integral)",
@@ -354,7 +343,8 @@ def verify_run(
 
     last = records[-1]
     check(
-        "end_state", max(last.dev_u, last.dev_v, last.linf_w), _END_STATE_TOL,
+        "end_state", float(max(last["dev_u"], last["dev_v"], last["linf_w"])),
+        _END_STATE_TOL,
         "max of ||u-ubar0||_inf, ||v-vbar0||_inf, ||w||_inf at t_end "
         "(engineering tolerance; no quantitative rate is guaranteed "
         "for the densities)",
@@ -362,10 +352,10 @@ def verify_run(
 
     guaranteed = 0.5 * ctx.reference_rate
     try:
-        if max(linf_w) == 0.0:
+        if linf_w.max() == 0.0:
             rate, detail = math.inf, "the signal is identically zero: nothing to decay"
         else:
-            fit = fit_decay((r.t, r.linf_w) for r in records)
+            fit = fit_decay(zip(t.tolist(), linf_w.tolist()))
             rate, detail = fit.rate, (
                 f"fitted exponential rate of ||w||_inf over the trailing "
                 f"{_DECAY_WINDOW_FRACTION:.0%} (r^2 = {fit.r_squared:.6f}); "
@@ -376,14 +366,15 @@ def verify_run(
     else:
         check("decay_rate", rate, guaranteed, detail, passed=rate >= guaranteed)
 
-    lyap = [r.lyapunov for r in records]
-    if lyap[0] is not None:
-        if None in lyap:  # the signal left the weight's domain, or float range
+    lyap = records["lyapunov"]
+    if not math.isnan(lyap[0]):
+        first, top = float(lyap[0]), float(lyap.max())
+        if np.isnan(lyap).any():  # the signal left the weight's domain, or float range
             rise = math.inf
-        elif lyap[0] > 0.0:
-            rise = max(lyap) / lyap[0] - 1.0
+        elif first > 0.0:
+            rise = top / first - 1.0
         else:  # u^p underflows at t = 0: any positive value is a rise
-            rise = 0.0 if max(lyap) == 0.0 else math.inf
+            rise = 0.0 if top == 0.0 else math.inf
         check(
             "weighted_lp_u", rise, _WEIGHTED_LP_TOL,
             "max over the samples of (1/p) int u^p phi(chi1 w), relative to "

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # record is not called here; benchmarks/tracing.py wraps solver.record
-from .diagnostics import DiagnosticsRecord, RunContext, record, record_block
+from .diagnostics import RunContext, record, record_block
 from .model import (
     _NORMAL,
     Grid,
@@ -627,7 +627,7 @@ def step(
 @dataclass(frozen=True)
 class RunResult:
     final_state: State  # the last good state
-    records: tuple[DiagnosticsRecord, ...]
+    records: np.ndarray  # the diagnostics table, read-only (diagnostics.COLUMNS)
     context: RunContext
     steps: int = 0  # completed steps; a failed step is not counted
     failure: SolverError | None = None  # what ended the run early
@@ -681,12 +681,13 @@ def run(config: ScenarioConfig) -> RunResult:
     Diagnostics are sampled at multiples of output_every and at t_end.  A
     :class:`SolverError` of the step loop ends the run early instead of
     raising: it becomes the result's ``failure``, next to the last good
-    state and the records sampled so far.
+    state and the rows sampled so far.
 
-    The samples' records are computed a block at a time by
+    The diagnostics table's rows are computed a block at a time by
     :func:`~chemolab.diagnostics.record_block`, which takes as many
-    consecutive samples as fit ``_BLOCK_BYTES`` stacked (at least one).  The
-    run steps with one :class:`_Workspace` of its own.
+    consecutive samples as fit ``_BLOCK_BYTES`` stacked (at least one), and
+    joined into one read-only table.  The run steps with one
+    :class:`_Workspace` of its own.
     """
     grid, params = config.grid, config.params
     init = validate_initial_data(*config.initial.build(grid), grid)
@@ -705,11 +706,11 @@ def run(config: ScenarioConfig) -> RunResult:
     del init  # the first state holds the initial fields; nothing else needs them
     ws = _Workspace(grid, params, config.options)
     block = max(1, _BLOCK_BYTES // ws.scratch.nbytes)  # scratch is one sample's u, v, w
-    pending = [state]  # samples whose records are not computed yet
-    records: list[DiagnosticsRecord] = []
+    pending = [state]  # samples whose rows are not computed yet
+    blocks: list[np.ndarray] = []
 
     def flush() -> None:
-        records.extend(record_block(pending, ctx, records[-1] if records else None))
+        blocks.append(record_block(pending, ctx, blocks[-1][-1] if blocks else None))
         pending.clear()
 
     t_end = config.t_end
@@ -746,4 +747,6 @@ def run(config: ScenarioConfig) -> RunResult:
         failure = exc.with_traceback(None)  # whose frames hold the last step's arrays
     if pending:
         flush()
-    return RunResult(state, tuple(records), ctx, steps, failure)
+    records = np.concatenate(blocks)
+    records.flags.writeable = False
+    return RunResult(state, records, ctx, steps, failure)

@@ -17,7 +17,7 @@ from hypothesis import strategies as hst
 from chemolab import model, solver
 from chemolab.cli import main, read_diagnostics_csv, write_diagnostics_csv
 from chemolab.config import ConfigError, config_digest, config_to_dict, parse_config
-from chemolab.diagnostics import RECORD_FIELDS, DiagnosticsRecord
+from chemolab.diagnostics import COLUMNS, TABLE_DTYPE
 from chemolab.model import FileInit, Grid, write_field_raw
 from chemolab.solver import run
 
@@ -344,36 +344,30 @@ def test_diagnostics_csv_round_trip(tmp_path):
     path = tmp_path / "diag.csv"
     write_diagnostics_csv(result.records, path)
     back = read_diagnostics_csv(path)
-    assert tuple(back) == result.records  # repr round-trip is exact
+    # repr round-trip is exact
+    assert back.tobytes() == result.records.tobytes() and back.dtype == TABLE_DTYPE
 
 
 _EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                 1.7976931348623157e308, -1.7976931348623157e308,
                 math.inf, -math.inf, math.nan]
 _ANY_FLOAT = hst.sampled_from(_EDGE_FLOATS) | hst.floats()
-_RECORDS = hst.lists(
-    hst.builds(
-        DiagnosticsRecord,
-        *(hst.none() | _ANY_FLOAT if name == "lyapunov" else _ANY_FLOAT
-          for name in RECORD_FIELDS),
-    ),
-    max_size=50,
-)
+_ROWS = hst.lists(hst.tuples(*(_ANY_FLOAT for _ in COLUMNS)), max_size=50)
 
 
 @settings(max_examples=200, deadline=None)
-@given(records=_RECORDS)
-def test_diagnostics_csv_bytes_and_round_trip_for_any_floats(tmp_path_factory, records):
-    # the format, built here as one joined text, independently of the writer
-    rows = [",".join("" if x is None else repr(x)
-                     for x in (getattr(rec, name) for name in RECORD_FIELDS))
-            for rec in records]
-    expected = "\n".join([",".join(RECORD_FIELDS), *rows]) + "\n"
+@given(rows=_ROWS)
+def test_diagnostics_csv_bytes_and_round_trip_for_any_floats(tmp_path_factory, rows):
+    # the format, built here as one joined text, independently of the writer:
+    # a NaN, in any column, is an empty cell
+    lines = [",".join("" if x != x else repr(x) for x in row) for row in rows]
+    expected = "\n".join([",".join(COLUMNS), *lines]) + "\n"
+    table = np.array(rows, TABLE_DTYPE)
     path = tmp_path_factory.mktemp("csv") / "diagnostics.csv"
-    write_diagnostics_csv(records, path)
+    write_diagnostics_csv(table, path)
     assert path.read_bytes() == expected.encode()
     # repr, not ==, so a NaN and the sign of -0.0 are compared too
-    assert repr(read_diagnostics_csv(path)) == repr(records)
+    assert repr(read_diagnostics_csv(path).tolist()) == repr(table.tolist())
 
 
 @pytest.mark.parametrize("extra", [1, -1], ids=["one_cell_more", "one_cell_fewer"])
@@ -391,10 +385,31 @@ def test_read_diagnostics_csv_refuses_a_row_of_the_wrong_width(tmp_path, extra):
         read_diagnostics_csv(path)
 
 
+@pytest.mark.parametrize(
+    "cell, message",
+    [("abc", "could not convert string to float: 'abc'"),
+     ("nan", "a NaN cell; the format writes NaN as an empty cell")],
+    ids=["not_a_number", "literal_nan"],
+)
+def test_read_diagnostics_csv_refuses_a_cell_that_is_not_a_value(tmp_path, cell, message):
+    # the writer never writes nan: a read NaN would be rewritten as an empty cell
+    from tests.conftest import homogeneous_scenario
+
+    path = tmp_path / "diag.csv"
+    write_diagnostics_csv(run(homogeneous_scenario(t_end=0.01)).records, path)
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[2].rstrip("\n").split(",")
+    cells[COLUMNS.index("lyapunov")] = cell
+    lines[2] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"diag.csv line 3: {re.escape(message)}$"):
+        read_diagnostics_csv(path)
+
+
 def test_diagnostics_csv_writer_holds_no_more_than_a_row(tmp_path):
     # Joining the rows of these 6,000 records into one text took 4.7 MB.
-    records = [DiagnosticsRecord(*(i + k / 7.0 for k in range(len(RECORD_FIELDS))))
-               for i in range(6000)]
+    records = np.array([tuple(i + k / 7.0 for k in range(len(COLUMNS)))
+                        for i in range(6000)], TABLE_DTYPE)
     tracemalloc.start()
     try:
         write_diagnostics_csv(records, tmp_path / "diagnostics.csv")
@@ -407,7 +422,7 @@ def test_diagnostics_csv_writer_holds_no_more_than_a_row(tmp_path):
 def test_cmd_run_peak_memory_holds_the_records_but_not_their_text(tmp_path):
     # 1-D, 16 cells, 3,001 samples.  Traced peaks: 4.59 MB while the CSV
     # text was joined in memory, 2.56 MB with rows streamed to the file and
-    # slotted records.
+    # slotted records, 1.69 MB with the records as one table.
     cosine = {"kind": "cosine_bump", "modes": [1]}
     cfg = minimal_config(
         grid={"lengths": [1.0], "cells": [16]},
@@ -503,7 +518,7 @@ def test_cmd_run_tiny_signal_runs_without_a_weight(tmp_path, capsys, w0):
     assert code in (0, 2)
     assert json.loads((out / "manifest.json").read_text())["outcome"] == "completed"
     records = read_diagnostics_csv(out / "diagnostics.csv")
-    assert all(rec.lyapunov is None for rec in records)
+    assert all(math.isnan(x) for x in records["lyapunov"])
     assert "weight note: weight construction unavailable" in capsys.readouterr().out
 
 
@@ -519,7 +534,7 @@ def test_cmd_run_tiny_signal_gets_a_weight(tmp_path, capsys, w0):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outcome"] == "completed" and manifest["weight_note"] == ""
     records = read_diagnostics_csv(out / "diagnostics.csv")
-    assert all(rec.lyapunov is not None for rec in records)
+    assert not any(math.isnan(x) for x in records["lyapunov"])
     assert "weight note" not in capsys.readouterr().out
 
 
@@ -678,7 +693,7 @@ def test_cmd_run_with_t_end_below_the_step_floor_completes(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert (manifest["outcome"], manifest["steps"]) == ("completed", 200)
     rows = read_diagnostics_csv(out / "diagnostics.csv")
-    assert len(rows) == 201 and rows[-1].t == 1e-16
+    assert len(rows) == 201 and rows[-1]["t"] == 1e-16
 
 
 def test_cmd_run_whose_signal_rounds_above_m_keeps_the_weighted_value(tmp_path):
@@ -693,8 +708,8 @@ def test_cmd_run_whose_signal_rounds_above_m_keeps_the_weighted_value(tmp_path):
     failed = {c["name"] for c in checks if not c["passed"]}
     assert failed == {"end_state", "decay_rate"}
     rows = read_diagnostics_csv(out / "diagnostics.csv")
-    assert max(r.linf_w for r in rows) > rows[0].linf_w
-    assert all(r.lyapunov is not None for r in rows)
+    assert max(r["linf_w"] for r in rows) > rows[0]["linf_w"]
+    assert not any(math.isnan(r["lyapunov"]) for r in rows)
 
 
 def test_cmd_run_that_ends_early_removes_an_earlier_verification_json(tmp_path):
@@ -751,7 +766,7 @@ def test_cmd_run_with_a_gaussian_narrower_than_float_range(tmp_path):
                      "--quiet"])
         assert code in (0, 2)
         rows = read_diagnostics_csv(out / "diagnostics.csv")
-        assert rows[0].linf_u == (1.5 if center == 0.53125 else 0.5)
+        assert rows[0]["linf_u"] == (1.5 if center == 0.53125 else 0.5)
 
 
 def _strict_json(path):
@@ -849,9 +864,9 @@ def test_cmd_run_lyapunov_beyond_float_range_is_an_empty_cell(tmp_path):
     assert caught == []
     text = (out / "diagnostics.csv").read_text()
     assert "inf" not in text.replace("linf", "")
-    lyap = [rec.lyapunov for rec in read_diagnostics_csv(out / "diagnostics.csv")]
-    assert lyap[0] is None  # u**p overflows at t = 0
-    assert lyap[-1] is not None and math.isfinite(lyap[-1])
+    lyap = read_diagnostics_csv(out / "diagnostics.csv")["lyapunov"]
+    assert math.isnan(lyap[0])  # u**p overflows at t = 0
+    assert not math.isnan(lyap[-1]) and math.isfinite(lyap[-1])
 
 
 def test_cmd_run_signal_outside_the_weight_domain_exits_two(tmp_path, monkeypatch):
@@ -880,8 +895,8 @@ def test_cmd_run_signal_outside_the_weight_domain_exits_two(tmp_path, monkeypatc
         ["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--quiet"]
     )
     assert code == 2
-    lyap = [rec.lyapunov for rec in read_diagnostics_csv(out / "diagnostics.csv")]
-    assert len(lyap) == 201 and lyap[0] is not None and lyap[-1] is None
+    lyap = read_diagnostics_csv(out / "diagnostics.csv")["lyapunov"]
+    assert len(lyap) == 201 and not math.isnan(lyap[0]) and math.isnan(lyap[-1])
     checks = json.loads((out / "verification.json").read_text())["checks"]
     assert not next(c for c in checks if c["name"] == "signal_envelope")["passed"]
 
@@ -1005,7 +1020,7 @@ def test_cmd_run_a_rate_beyond_float_range_stalls_without_a_warning(tmp_path):
     assert (manifest["outcome"], manifest["steps"]) == ("stalled", 0)
     assert manifest["stalled"]["time"] == 0.0
     (first,) = read_diagnostics_csv(out / "diagnostics.csv")
-    assert first.dirichlet_u == math.inf and first.linf_u == 1e308
+    assert first["dirichlet_u"] == math.inf and first["linf_u"] == 1e308
 
 
 @pytest.mark.parametrize(
@@ -1026,7 +1041,7 @@ def test_cmd_run_samples_accepted_values_beyond_float_arithmetic(tmp_path, u, li
     code = main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--quiet"])
     assert code in (0, 2)
     rows = read_diagnostics_csv(out / "diagnostics.csv")
-    assert rows[0].linf_u == linf_u and rows[0].dev_u == 0.0
+    assert rows[0]["linf_u"] == linf_u and rows[0]["dev_u"] == 0.0
 
 
 # Sizes in exabytes: beyond every address space, so the allocation fails at

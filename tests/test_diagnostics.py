@@ -8,8 +8,9 @@ import pytest
 
 from chemolab import solver
 from chemolab.diagnostics import (
+    COLUMNS,
+    TABLE_DTYPE,
     DecayFitError,
-    DiagnosticsRecord,
     RunContext,
     dirichlet_energy,
     fit_decay,
@@ -151,7 +152,7 @@ def test_run_lyapunov_column_weights_u_with_chi1(chi1, chi2):
             grid.volume_element / wf.p * float(np.sum(state.u**wf.p * wf.phi(chi * state.w)))
             for chi in (chi1, chi2)
         ]
-        assert rec.lyapunov == pytest.approx(weighted[0], rel=1e-12)
+        assert rec["lyapunov"] == pytest.approx(weighted[0], rel=1e-12)
         assert abs(weighted[1] - weighted[0]) > 1e-6 * weighted[0]
 
 
@@ -174,19 +175,20 @@ def test_record_first_sample_has_zero_cumulatives():
     g = Grid(lengths=(1.0,), cells=(16,))
     st = State(0.0, np.ones(16), np.ones(16), np.full(16, 0.5))
     rec = record(st, _ctx(g), None)
-    assert rec.cum_dirichlet_u == 0.0
-    assert rec.cum_dirichlet_w == 0.0
-    assert rec.mass_u == pytest.approx(1.0, rel=1e-15)
-    assert rec.dev_u == 0.0
-    assert rec.lyapunov is None
+    assert rec["cum_dirichlet_u"] == 0.0
+    assert rec["cum_dirichlet_w"] == 0.0
+    assert rec["mass_u"] == pytest.approx(1.0, rel=1e-15)
+    assert rec["dev_u"] == 0.0
+    assert math.isnan(rec["lyapunov"])
 
 
 def test_record_homogeneous_has_no_gradients():
     g = Grid(lengths=(1.0, 1.0), cells=(8, 8))
     st = State(0.3, np.ones((8, 8)), np.ones((8, 8)), np.full((8, 8), 0.2))
     rec = record(st, _ctx(g), None)
-    assert rec.dirichlet_u == 0.0 and rec.dirichlet_v == 0.0 and rec.dirichlet_w == 0.0
-    assert rec.dev_u == 0.0 and rec.dev_v == 0.0
+    assert rec["dirichlet_u"] == 0.0 and rec["dirichlet_v"] == 0.0
+    assert rec["dirichlet_w"] == 0.0
+    assert rec["dev_u"] == 0.0 and rec["dev_v"] == 0.0
 
 
 def test_record_trapezoid_increment():
@@ -197,13 +199,14 @@ def test_record_trapezoid_increment():
     rec0 = record(st0, _ctx(g), None)
     st1 = State(0.5, np.ones(16), np.ones(16), x + 1.0)  # same gradients
     rec1 = record(st1, _ctx(g), rec0)
-    assert rec1.dirichlet_w == rec0.dirichlet_w
-    assert rec1.cum_dirichlet_w == pytest.approx(0.5 * rec0.dirichlet_w, rel=1e-14)
+    assert rec1["dirichlet_w"] == rec0["dirichlet_w"]
+    assert rec1["cum_dirichlet_w"] == pytest.approx(0.5 * rec0["dirichlet_w"], rel=1e-14)
 
 
 def _record_one_field_at_a_time(state, ctx, prev):
     """record as it was written before it stacked the fields: one NumPy
-    pass per field and quantity.  The reference for bit-identity."""
+    pass per field and quantity, and the trapezoid advanced from the
+    previous row in Python floats.  The reference for bit-identity."""
     grid = ctx.grid
 
     def integral(f):
@@ -220,32 +223,33 @@ def _record_one_field_at_a_time(state, ctx, prev):
     if prev is None:
         cums = (0.0, 0.0, 0.0)
     else:
-        half_dt = 0.5 * (state.t - prev.t)
+        last = dict(zip(COLUMNS, prev.item()))
+        half_dt = 0.5 * (state.t - last["t"])
         cums = (
-            prev.cum_dirichlet_u + half_dt * (prev.dirichlet_u + du),
-            prev.cum_dirichlet_v + half_dt * (prev.dirichlet_v + dv),
-            prev.cum_dirichlet_w + half_dt * (prev.dirichlet_w + dw),
+            last["cum_dirichlet_u"] + half_dt * (last["dirichlet_u"] + du),
+            last["cum_dirichlet_v"] + half_dt * (last["dirichlet_v"] + dv),
+            last["cum_dirichlet_w"] + half_dt * (last["dirichlet_w"] + dw),
         )
     wf = ctx.weight
     phi = wf.phi(ctx.params.chi1 * state.w)
     lyap = (1.0 / wf.p) * integral(state.u**wf.p * phi)
-    return DiagnosticsRecord(
-        t=float(state.t),
-        mass_u=integral(state.u),
-        mass_v=integral(state.v),
-        linf_u=float(np.abs(state.u).max()),
-        linf_v=float(np.abs(state.v).max()),
-        linf_w=float(np.abs(state.w).max()),
-        dev_u=float(np.abs(state.u - ctx.ubar0).max()),
-        dev_v=float(np.abs(state.v - ctx.vbar0).max()),
-        lyapunov=lyap,
-        dirichlet_u=du,
-        dirichlet_v=dv,
-        dirichlet_w=dw,
-        cum_dirichlet_u=cums[0],
-        cum_dirichlet_v=cums[1],
-        cum_dirichlet_w=cums[2],
-    )
+    row = np.zeros((), TABLE_DTYPE)
+    row["t"] = float(state.t)
+    row["mass_u"] = integral(state.u)
+    row["mass_v"] = integral(state.v)
+    row["linf_u"] = float(np.abs(state.u).max())
+    row["linf_v"] = float(np.abs(state.v).max())
+    row["linf_w"] = float(np.abs(state.w).max())
+    row["dev_u"] = float(np.abs(state.u - ctx.ubar0).max())
+    row["dev_v"] = float(np.abs(state.v - ctx.vbar0).max())
+    row["lyapunov"] = lyap
+    row["dirichlet_u"] = du
+    row["dirichlet_v"] = dv
+    row["dirichlet_w"] = dw
+    row["cum_dirichlet_u"] = cums[0]
+    row["cum_dirichlet_v"] = cums[1]
+    row["cum_dirichlet_w"] = cums[2]
+    return row[()]
 
 
 @pytest.mark.parametrize("cells", [(256,), (32, 32), (12, 10, 8)])
@@ -261,7 +265,7 @@ def test_record_is_bit_identical_to_one_field_at_a_time(cells):
     state, new, old = State(0.0, u, v, w), None, None
     for _ in range(4):
         new, old = record(state, ctx, new), _record_one_field_at_a_time(state, ctx, old)
-        assert new == old
+        assert new.item() == old.item()
         dt = stable_dt(state, params, grid, config.options)
         state = step(state, dt, params, grid, config.options)
 
@@ -298,14 +302,16 @@ def test_record_block_is_record_sample_by_sample_bit_for_bit(cells, weighted):
     for state in states:
         prev = record(state, ctx, prev)
         one_by_one.append(prev)
-    assert all((r.lyapunov is not None) == weighted for r in one_by_one)
+    assert all((not math.isnan(r["lyapunov"])) == weighted for r in one_by_one)
+    expected = repr([r.item() for r in one_by_one])
     # repr tells every float apart, -0.0 from 0.0 included
-    assert repr(record_block(states, ctx, None)) == repr(one_by_one)
+    assert repr(record_block(states, ctx, None).tolist()) == expected
     blocks, prev, start = [], None, 0
     for size in (1, 3, 4, 2):  # block boundaries in the middle of the run
-        blocks += record_block(states[start : start + size], ctx, prev)
-        prev, start = blocks[-1], start + size
-    assert repr(blocks) == repr(one_by_one)
+        block = record_block(states[start : start + size], ctx, prev)
+        blocks += block.tolist()
+        prev, start = block[-1], start + size
+    assert repr(blocks) == expected
 
 
 @pytest.mark.parametrize(
@@ -333,12 +339,12 @@ def test_record_block_weighs_a_signal_up_to_the_envelope_tolerance(
     w[0] += excess  # cell 0 holds the maximum
     later = State(1e-3, ones, ones, w)
     records = record_block([State(0.0, ones, ones, w0), later], ctx, None)
-    assert records[0].lyapunov is not None
-    assert (records[1].lyapunov is not None) == kept
+    assert not math.isnan(records[0]["lyapunov"])
+    assert (not math.isnan(records[1]["lyapunov"])) == kept
     m = ctx.weight.m
     if kept:  # weighted as if chi1 w were clipped to m
         clipped = replace(later, w=np.minimum(w, m / chi1))
-        assert records[1].lyapunov == lyapunov(clipped, ctx.weight, chi1, grid)
+        assert records[1]["lyapunov"] == lyapunov(clipped, ctx.weight, chi1, grid)
     assert (chi1 * w.max() > m) == (chi1 == chi2)
     if chi1 == chi2:
         with pytest.raises(ValueError, match="weight domain exceeded"):
@@ -357,7 +363,7 @@ def test_run_records_do_not_depend_on_the_block_length(cells, monkeypatch):
     monkeypatch.setattr(solver, "_BLOCK_BYTES", 7 * 24 * math.prod(cells))
     by_seven = run(config)
     assert len(by_one.records) == 201
-    assert repr(by_seven.records) == repr(by_one.records)
+    assert repr(by_seven.records.tolist()) == repr(by_one.records.tolist())
 
 
 def test_record_copies_no_field_of_a_lone_sample():
@@ -407,8 +413,8 @@ def test_run_ending_early_mid_block_keeps_every_good_sample(monkeypatch):
     monkeypatch.setattr(solver, "_BLOCK_BYTES", block * 24 * 32)
     blocked = run(config)
     assert blocked.outcome == "blowup"
-    assert repr(blocked.records) == repr(by_one.records)
-    assert blocked.records[-1].t <= blocked.final_state.t < blocked.failure.time
+    assert repr(blocked.records.tolist()) == repr(by_one.records.tolist())
+    assert blocked.records[-1]["t"] <= blocked.final_state.t < blocked.failure.time
 
 
 # --------------------------------------------------------------- fit_decay
@@ -448,7 +454,7 @@ def test_fit_decay_leaves_out_underflowed_samples():
 
 
 def test_fit_decay_on_homogeneous_run(homogeneous_run):
-    series = [(r.t, r.linf_w) for r in homogeneous_run.records]
+    series = [(r["t"], r["linf_w"]) for r in homogeneous_run.records]
     fit = fit_decay(series)
     assert homogeneous_run.context.reference_rate == pytest.approx(2.0, rel=1e-12)
     assert fit.rate == pytest.approx(2.0, rel=0.01)
@@ -508,19 +514,19 @@ def test_verify_run_thresholds_are_pinned():
         ("end_state", 1e-3),
     ):
         assert by_name[name].threshold == threshold, name
-    tail = next(r for r in records if r.t >= 0.75 * records[-1].t)
+    tail = next(r for r in records if r["t"] >= 0.75 * records[-1]["t"])
     for name in ("u", "v"):
         check = by_name[f"dirichlet_convergence_{name}"]
-        total = getattr(records[-1], f"cum_dirichlet_{name}")
+        total = records[-1][f"cum_dirichlet_{name}"]
         assert check.threshold == 0.01 * total + 1e-30
-        assert check.value == total - getattr(tail, f"cum_dirichlet_{name}")
+        assert check.value == total - tail[f"cum_dirichlet_{name}"]
         assert "trailing-25%" in check.detail
     decay = by_name["decay_rate"]
     assert decay.threshold == 0.5 * ctx.reference_rate
     assert "trailing 50%" in decay.detail
-    fit = fit_decay((r.t, r.linf_w) for r in records)
+    fit = fit_decay((r["t"], r["linf_w"]) for r in records)
     assert fit.rate == decay.value
-    assert fit.t_start == records[-round(0.5 * len(records))].t
+    assert fit.t_start == records[-round(0.5 * len(records))]["t"]
 
 
 def test_weighted_lp_u_fails_on_a_rise_or_a_later_empty_value():
@@ -528,14 +534,15 @@ def test_weighted_lp_u_fails_on_a_rise_or_a_later_empty_value():
     records, n = res.records, len(res.records)
 
     def verdict(values):
-        rows = [replace(r, lyapunov=value) for r, value in zip(records, values)]
+        rows = records.copy()
+        rows["lyapunov"] = values
         return {c.name: c for c in verify_run(rows, res.context)}.get("weighted_lp_u")
 
     assert verdict([1.0] * n).passed and verdict([1.0] * n).value == 0.0
     assert not verdict([1.0, 1.0 + 1e-9] + [1.0] * (n - 2)).passed
-    empty = verdict([1.0] * (n - 1) + [None])  # the signal left the weight's domain
+    empty = verdict([1.0] * (n - 1) + [math.nan])  # the signal left the weight's domain
     assert not empty.passed and empty.value == math.inf
-    assert verdict([None] * n) is None  # no weighted value at t = 0: no check
+    assert verdict([math.nan] * n) is None  # no weighted value at t = 0: no check
     assert verdict([0.0] * n).passed  # u^p underflows at every sample
     assert not verdict([0.0] * (n - 1) + [1e-300]).passed
 
@@ -612,10 +619,10 @@ def test_signal_outside_the_weight_domain_is_an_empty_lyapunov_cell(monkeypatch)
     res = run(reference_scenario((64,), scheme="upwind"))
     assert res.outcome == "completed"
     ctx = res.context
-    outside = [ctx.params.chi1 * r.linf_w > ctx.weight.m for r in res.records]
+    outside = [ctx.params.chi1 * r["linf_w"] > ctx.weight.m for r in res.records]
     first = outside.index(True)
     assert 0 < first and all(outside[first:])
-    empty = [r.lyapunov is None for r in res.records]
+    empty = [math.isnan(r["lyapunov"]) for r in res.records]
     assert empty == [i >= first for i in range(len(empty))]
     failed = {c.name for c in verify_run(res.records, ctx) if not c.passed}
     assert "signal_envelope" in failed
@@ -642,6 +649,5 @@ def test_verify_run_every_check_has_a_breaking_mutation():
 def test_verify_needs_two_records():
     g = Grid(lengths=(1.0,), cells=(8,))
     st = State(0.0, np.ones(8), np.ones(8), np.zeros(8))
-    rec = record(st, _ctx(g), None)
     with pytest.raises(ValueError):
-        verify_run([rec], _ctx(g))
+        verify_run(record_block([st], _ctx(g), None), _ctx(g))

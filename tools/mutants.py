@@ -1,5 +1,5 @@
-"""Run tier-1 against hand-written mutants of the stepper and the
-diagnostics and report which survive.
+"""Run tier-1 against hand-written mutants of the stepper, the
+diagnostics and the CSV writer and report which survive.
 
 Each mutant replaces one fragment (a line, or adjacent lines) of one file
 under ``src/`` with a faulty one.  For each mutant the script copies
@@ -35,6 +35,7 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-e
          "-p", "no:cacheprovider"]
 
 SOLVER, DIAGNOSTICS = "src/chemolab/solver.py", "src/chemolab/diagnostics.py"
+CLI = "src/chemolab/cli.py"
 
 # (name, file, old fragment, new fragment)
 MUTANTS = [
@@ -195,15 +196,23 @@ MUTANTS = [
     ),
     (
         "record_block swaps the mass_u and mass_v columns", DIAGNOSTICS,
-        "        _integrals(u, grid),\n"
-        "        _integrals(v, grid),\n",
-        "        _integrals(v, grid),\n"
-        "        _integrals(u, grid),\n",
+        '    out["mass_u"], out["mass_v"] = _integrals(u, grid), _integrals(v, grid)\n',
+        '    out["mass_u"], out["mass_v"] = _integrals(v, grid), _integrals(u, grid)\n',
     ),
     (
         "trapezoid without its 1/2", DIAGNOSTICS,
-        "            half_dt = 0.5 * (state.t - prev.t)\n",
-        "            half_dt = state.t - prev.t\n",
+        "    half_dt = 0.5 * np.diff(t)\n",
+        "    half_dt = np.diff(t)\n",
+    ),
+    (
+        "the cumulative sums ignore prev's value: each block restarts near 0", DIAGNOSTICS,
+        '            cum[0] = 0.0 if prev is None else prev[f"cum_dirichlet_{name}"] + (\n',
+        '            cum[0] = 0.0 if prev is None else (\n',
+    ),
+    (
+        "the CSV writer writes NaN as nan", CLI,
+        '            ",".join(["" if math.isnan(x) else repr(x) for x in row.tolist()]) + "\\n"\n',
+        '            ",".join([repr(x) for x in row.tolist()]) + "\\n"\n',
     ),
 ]
 
