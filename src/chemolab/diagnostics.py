@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import _NORMAL, Grid, ModelParams, State, _hi, _integrals, _lo
+from .model import _NORMAL, Grid, ModelParams, State, _integrals
 from .weight import WeightFunction
 
 __all__ = [
@@ -90,10 +90,10 @@ class RunContext:
 
 def _dirichlet_energies(fields: np.ndarray, grid: Grid) -> np.ndarray:
     """Discrete int |grad f|^2 of the fields stacked along the leading axes."""
-    dim, lead = grid.dim, fields.ndim - grid.dim
+    lead = fields.ndim - grid.dim
     total = np.zeros(fields.shape[:lead])
     for axis, h in enumerate(grid.spacing):
-        diff = fields[_hi(axis + lead, dim + lead)] - fields[_lo(axis + lead, dim + lead)]
+        diff = np.diff(fields, axis=lead + axis)
         with np.errstate(over="ignore"):  # a gradient beyond float range: inf
             diff /= h
             diff *= diff

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
-from .weight import _check_p_eps
+from .weight import _check_p_eps, threshold
 
 __all__ = [
     "ModelParams",
@@ -126,19 +126,6 @@ class Grid:
         """Cell-center coordinate arrays broadcast to the grid shape."""
         axes = [self.cell_centers(k) for k in range(self.dim)]
         return tuple(np.meshgrid(*axes, indexing="ij"))
-
-
-@lru_cache(maxsize=None)
-def _lo(axis: int, dim: int) -> tuple[slice, ...]:
-    """All but the last entry along ``axis``: the low side of each interior
-    face of a cell array, or every face but the last of a face array."""
-    return tuple(slice(None, -1) if k == axis else slice(None) for k in range(dim))
-
-
-@lru_cache(maxsize=None)
-def _hi(axis: int, dim: int) -> tuple[slice, ...]:
-    """All but the first entry along ``axis``; the counterpart of :func:`_lo`."""
-    return tuple(slice(1, None) if k == axis else slice(None) for k in range(dim))
 
 
 def _integrals(fields: np.ndarray, grid: Grid) -> np.ndarray:
@@ -362,11 +349,9 @@ class ThresholdReport:
 def threshold_check(params: ModelParams, w0_max: float, n: int) -> ThresholdReport:
     if not (w0_max >= 0.0 and math.isfinite(w0_max)):
         raise ValueError(f"w0_max must be finite and >= 0, got {w0_max}")
-    if n < 1:
-        raise ValueError(f"dimension n must be >= 1, got {n}")
+    bound = threshold(n)
     m1 = params.chi1 * w0_max
     m2 = params.chi2 * w0_max
-    bound = math.sqrt(2.0 / n) * math.pi
     return ThresholdReport(m1=m1, m2=m2, bound=bound, within=max(m1, m2) < bound)
 
 

@@ -5,10 +5,10 @@ box: diffusion by two-point face fluxes, chemotaxis as an advective face
 flux with velocity chi * grad(w), absorption pointwise.  Zero-flux boundary
 faces enforce the no-flux condition exactly inside the discrete conservation
 law, so the discrete integrals of u and v telescope to constants.
-:func:`rhs` is that semi-discrete operator, built from the stepper's own
-kernels at unit time scale.  The test suite checks it against an
-independent face-by-face assembly of the same operator
-(``tests/reference_fv.py``), which shares no code with this module.
+:func:`rhs` is that operator, the sum of the generators of the split
+flows below.  The test suite checks it against an independent face-by-face
+assembly of the same operator (``tests/reference_fv.py``), which shares no
+code with this module.
 
 :func:`step` advances it by Strang splitting, D(dt/2) R(dt/2) A(dt) R(dt/2)
 D(dt/2), second order in dt:
@@ -21,7 +21,7 @@ D(dt/2), second order in dt:
   into two half-size products otherwise (:func:`_full_plan`).
 * R, absorption, is solved exactly: w <- w * exp(-tau (alpha u + beta v)).
 * A, chemotaxis with w frozen, is Heun's SSP-RK2 on the advective face
-  fluxes of :func:`rhs`.
+  fluxes of :meth:`_Workspace.transport`.
 
 Only A limits the step: :func:`stable_dt` bounds it by each cell's total
 advective face rate plus its absorption rate, which keeps every upwind
@@ -207,7 +207,7 @@ class _Axis:
     / h^2, which the workspace sets.
     """
 
-    __slots__ = ("full", "q", "r", "m", "view", "mirror", "cache", "right", "forward",
+    __slots__ = ("full", "q", "r", "view", "mirror", "cache", "right", "forward",
                  "backward", "eig", "h2", "post", "n", "dw", "wrap", "up", "diff",
                  "diff_wrap", "flux", "coef", "rate_lo", "rate_hi", "rate_scale")
 
@@ -217,7 +217,7 @@ class _Axis:
         cells = math.prod(grid.cells)
         self.full = _full_plan(m, cells)
         self.q, self.r = q, r = (m + 1) // 2, m // 2
-        self.m, self.h2 = m, h * h
+        self.h2 = h * h
         k = np.arange(m)
         # cos(pi k (2i+1) / (2m)), the angle reduced exactly (whole floats)
         basis = np.multiply.outer(k, 2 * k + 1, dtype=float)
@@ -284,9 +284,9 @@ class _Workspace:
     everything a step needs besides its state, built once.
 
     * ``scratch``, three fields: the second buffer of every DCT, the two
-      exponents of R (rows 0 and 1), :meth:`stable_dt`'s v term (row 0)
-      and signal differences (row 1), and A's Heun stage (``stage``, u and
-      v) and face rate (``rate``, w's row);
+      exponents of R (rows 0 and 1), :meth:`rhs`'s eigenvalues and
+      :meth:`stable_dt`'s v term (row 0) and signal differences (row 1), and
+      A's Heun stage (``stage``, u and v) and face rate (``rate``, w's row);
     * ``spectrum`` and ``mean``, what D leaves behind: the DCT-II of each
       field's zero-mean part and each field's mean, of D's last result.
       Between the opening D's inverse transform and the closing D's forward
@@ -330,9 +330,16 @@ class _Workspace:
             axis.rate_scale = self.chi / axis.h2
         self.stage_faces = self.faces(self.stage.reshape(2, -1))
 
+    def eigenvalues(self, out: np.ndarray) -> np.ndarray:
+        """``out`` filled with each mode's zero-flux Laplacian eigenvalue,
+        the sum of its per-axis ones in axis order."""
+        out.fill(0.0)
+        for axis in self.axes:
+            out += axis.eig
+        return out
+
     def decay_for(self, tau: float) -> np.ndarray:
-        """exp(tau * eigenvalue), a mode's eigenvalue the sum of its per-axis
-        ones in axis order; recomputed only when tau changed.
+        """exp(tau * :meth:`eigenvalues`), recomputed only when tau changed.
 
         A factor below ``_DECAY_FLOOR`` is 0: that mode is gone far below
         rounding, and a coefficient decayed twice (a kept spectrum) cannot
@@ -340,10 +347,7 @@ class _Workspace:
         reads them many times over.
         """
         if tau != self.tau:
-            decay = self.decay
-            decay.fill(0.0)
-            for axis in self.axes:
-                decay += axis.eig
+            decay = self.eigenvalues(self.decay)
             decay *= tau
             np.exp(decay, out=decay)
             decay[decay < _DECAY_FLOOR] = 0.0
@@ -387,6 +391,16 @@ class _Workspace:
                 axis.product(even, t_even, y_even)
                 axis.product(odd, t_odd, y_odd)
 
+    def transform(self, fields: np.ndarray) -> None:
+        """D's forward transform: each field's mean into ``mean``, and the
+        DCT-II of its zero-mean part into ``spectrum``."""
+        flat, mean = fields.reshape(3, -1), self.mean
+        np.add.reduce(flat, axis=1, keepdims=True, out=mean)
+        mean /= flat.shape[1]
+        start = self.spectrum if self.full % 2 == 0 else self.scratch  # see _dct
+        np.subtract(flat, mean, out=start.reshape(3, -1))
+        self._dct(start, self.spectrum, inverse=False)
+
     def diffuse(self, fields: np.ndarray, decay: np.ndarray, kept: bool = False) -> None:
         """D: exact diffusion in place; ``decay`` is exp(tau * eigenvalue)
         (:meth:`decay_for`).
@@ -396,16 +410,12 @@ class _Workspace:
         ``spectrum`` and ``mean``.  With ``kept``, they already hold those
         of ``fields``, and D skips the forward transform.
         """
-        flat, spectrum, mean = fields.reshape(3, -1), self.spectrum, self.mean
         if not kept:
-            np.add.reduce(flat, axis=1, keepdims=True, out=mean)
-            mean /= flat.shape[1]
-            start = spectrum if self.full % 2 == 0 else self.scratch  # see _dct
-            np.subtract(flat, mean, out=start.reshape(3, -1))
-            self._dct(start, spectrum, inverse=False)
+            self.transform(fields)
+        spectrum, flat = self.spectrum, fields.reshape(3, -1)
         spectrum *= decay
         self._dct(spectrum, fields, inverse=True)
-        flat += mean
+        flat += self.mean
 
     def absorb(self, fields: np.ndarray, tau: float) -> None:
         """R: exact absorption in place, w <- w * exp(-tau (alpha u + beta v))."""
@@ -502,23 +512,18 @@ class _Workspace:
             dens *= 0.5
 
     def rhs(self, state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`rhs` of ``state``."""
-        params = self.params
-        self.kept = None  # signal_faces writes spectrum
+        """:func:`rhs` of ``state``, with D's eigenvalues in ``scratch[0]``."""
+        self.kept = None  # the transforms and signal_faces write spectrum
         fields = np.array((state.u, state.v, state.w))
-        out = np.zeros_like(fields)
+        out = np.empty_like(fields)
+        self.transform(fields)
+        self.spectrum *= self.eigenvalues(self.scratch[0])
+        self._dct(self.spectrum, out, inverse=True)
         flat, out_flat = fields.reshape(3, -1), out.reshape(3, -1)
-        for axis, (lo, hi), (out_lo, out_hi) in zip(self.axes, self.faces(flat),
-                                                   self.faces(out_flat)):
-            flux = hi - lo
-            flux.reshape(3, -1, axis.post)[:, axis.m - 1 :: axis.m] = 0.0  # wrap slots
-            flux /= axis.h2
-            out_lo += flux
-            out_hi -= flux
         self.signal_faces(flat[2])
         self.scale_fluxes(1.0)
         self.transport(self.faces(flat[:2]), self.faces(out_flat[:2]))
-        out[2] -= (params.alpha * state.u + params.beta * state.v) * state.w
+        out[2] -= (self.params.alpha * state.u + self.params.beta * state.v) * state.w
         return out[0], out[1], out[2]
 
     def stable_dt(self, state: State) -> float:
@@ -575,12 +580,13 @@ def rhs(
     grid: Grid,
     scheme: SchemeOptions,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Semi-discrete right-hand side (du, dv, dw).
+    """Semi-discrete right-hand side (du, dv, dw): the sum of the
+    generators of :func:`step`'s D, R and A, each from the stepper's kernel.
 
-    The flux-form Laplacian of u, v and w, plus the stepper's chemotaxis
-    kernel (:meth:`_Workspace.transport`) at unit time scale, plus the
-    absorption sink -(alpha u + beta v) w on w.  du and dv are
-    divergence-form, so their sums over all cells telescope to zero.
+    D's is the DCT-II of each field's zero-mean part times its Laplacian
+    eigenvalues, transformed back; R's the sink -(alpha u + beta v) w on w;
+    A's the chemotaxis kernel (:meth:`_Workspace.transport`) at unit time
+    scale.  du and dv are divergence-form: their sums telescope to zero.
     """
     return _Workspace(grid, params, scheme).rhs(state)
 

@@ -31,6 +31,7 @@ __all__ = [
     "coefficients",
     "admissible_bound",
     "make_weight",
+    "threshold",
     "epsilon_for_threshold",
     "p_for_equality",
 ]
@@ -195,19 +196,25 @@ def make_weight(p: float, eps: float, m: float) -> WeightFunction:
     return WeightFunction(p, eps, m)
 
 
+def threshold(n: int) -> float:
+    """The paper's boundedness threshold sqrt(2/n)*pi, in n >= 1 dimensions."""
+    if n < 1:
+        raise ValueError(f"dimension n must be >= 1, got {n}")
+    return math.sqrt(2.0 / n) * math.pi
+
+
 def epsilon_for_threshold(m: float, n: int) -> float:
     """Mixing parameter for a given signal amplitude below the threshold.
 
     For ``0 <= m < sqrt(2/n)*pi`` returns ``eps`` in (0, 1/2] satisfying
     ``m = (2/sqrt(n/2)) * sqrt((1-2*eps)/(1+2*eps*(n/2))) * pi/2``.
     """
-    if n < 1:
-        raise ValueError(f"dimension n must be >= 1, got {n}")
+    bound = threshold(n)
     if not (m >= 0.0 and math.isfinite(m)):
         raise ValueError(f"m must be a finite real >= 0, got {m}")
     half_n = 0.5 * n
     pi_sq = math.pi * math.pi
-    if m >= math.sqrt(2.0 / n) * math.pi:
+    if m >= bound:
         raise ValueError(
             f"amplitude m={m} is above the threshold sqrt(2/{n})*pi"
         )

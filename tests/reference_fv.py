@@ -9,7 +9,18 @@ zero-flux boundary faces carry exactly 0.
 
 import numpy as np
 
-from chemolab.model import Grid, _hi, _lo
+from chemolab.model import Grid
+
+
+def lo(axis: int, dim: int) -> tuple[slice, ...]:
+    """All but the last entry along ``axis``: the low side of each interior
+    face of a cell array, or every face but the last of a face array."""
+    return tuple(slice(None, -1) if k == axis else slice(None) for k in range(dim))
+
+
+def hi(axis: int, dim: int) -> tuple[slice, ...]:
+    """All but the first entry along ``axis``; the counterpart of :func:`lo`."""
+    return tuple(slice(1, None) if k == axis else slice(None) for k in range(dim))
 
 
 def _with_boundary_faces(interior: np.ndarray, axis: int, grid: Grid) -> np.ndarray:
@@ -25,7 +36,7 @@ def grad_w_faces(w: np.ndarray, grid: Grid) -> list[np.ndarray]:
     w = np.asarray(w, float)
     faces = []
     for axis, h in enumerate(grid.spacing):
-        interior = (w[_hi(axis, grid.dim)] - w[_lo(axis, grid.dim)]) / h
+        interior = (w[hi(axis, grid.dim)] - w[lo(axis, grid.dim)]) / h
         faces.append(_with_boundary_faces(interior, axis, grid))
     return faces
 
@@ -44,9 +55,9 @@ def species_flux(
     :func:`grad_w_faces`); boundary faces of the result are exactly zero.
     """
     density = np.asarray(density, float)
-    lo, hi = _lo(axis, grid.dim), _hi(axis, grid.dim)
-    d_lo, d_hi = density[lo], density[hi]
-    vel = chi * gw[hi][lo]  # interior faces
+    low, high = lo(axis, grid.dim), hi(axis, grid.dim)
+    d_lo, d_hi = density[low], density[high]
+    vel = chi * gw[high][low]  # interior faces
     if scheme == "upwind":
         face = np.where(vel > 0, d_lo, d_hi)  # the cell the velocity points away from
     else:
@@ -59,5 +70,5 @@ def divergence(fluxes: list[np.ndarray], grid: Grid) -> np.ndarray:
     """Conservative face-difference divergence of per-axis face fluxes."""
     out = np.zeros(grid.shape)
     for axis, (flux, h) in enumerate(zip(fluxes, grid.spacing)):
-        out += (flux[_hi(axis, grid.dim)] - flux[_lo(axis, grid.dim)]) / h
+        out += (flux[hi(axis, grid.dim)] - flux[lo(axis, grid.dim)]) / h
     return out

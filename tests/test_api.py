@@ -2,7 +2,8 @@
 benchmark finds every name it patches (``benchmarks/tracing.py``) or calls
 (``benchmarks/runner.py``) where it looks it up.  A moved or renamed name
 then fails here instead of in a benchmark run.  The face-by-face reference
-``rhs`` is tested against stays outside the solver."""
+``rhs`` is tested against stays outside the solver and chemolab's private
+helpers."""
 
 import ast
 import importlib
@@ -39,7 +40,8 @@ def test_benchmark_finds_every_name_it_patches_and_calls(monkeypatch):
 
 
 def test_reference_operator_imports_nothing_from_the_solver():
-    # a reference that shares the solver's code passes with the same fault
+    # a reference that shares the solver's code passes with the same fault;
+    # nor may it borrow chemolab's private helpers, such as its face slices
     imported = []
     for node in ast.walk(ast.parse(REFERENCE.read_text())):
         if isinstance(node, ast.Import):
@@ -48,3 +50,6 @@ def test_reference_operator_imports_nothing_from_the_solver():
             imported += [f"{node.module}.{alias.name}" for alias in node.names]
     assert imported  # the walk saw the imports
     assert [n for n in imported if n.split(".")[:2] == ["chemolab", "solver"]] == []
+    private = [n for n in imported
+               if n.split(".")[0] == "chemolab" and any(p.startswith("_") for p in n.split("."))]
+    assert private == []

@@ -29,12 +29,11 @@ from chemolab.model import (
     ScenarioConfig,
     SchemeOptions,
     State,
-    _hi,
-    _lo,
 )
 from chemolab.solver import run, stable_dt, step
 from chemolab.weight import make_weight
 from tests.conftest import reference_scenario
+from tests.reference_fv import hi, lo
 
 PARAMS = ModelParams(1.0, 1.0, 1.0, 1.0)
 
@@ -215,7 +214,7 @@ def _record_one_field_at_a_time(state, ctx, prev):
     def energy(f):
         total = 0.0
         for axis, h in enumerate(grid.spacing):
-            diff = (f[_hi(axis, grid.dim)] - f[_lo(axis, grid.dim)]) / h
+            diff = (f[hi(axis, grid.dim)] - f[lo(axis, grid.dim)]) / h
             total += integral(diff * diff)
         return total
 

@@ -24,8 +24,6 @@ from chemolab.model import (
     ModelParams,
     ScenarioConfig,
     State,
-    _hi,
-    _lo,
     write_field_raw,
 )
 from chemolab.solver import (
@@ -39,7 +37,7 @@ from chemolab.solver import (
     step,
 )
 from tests.conftest import homogeneous_scenario, reference_scenario
-from tests.reference_fv import divergence, grad_w_faces, species_flux
+from tests.reference_fv import divergence, grad_w_faces, hi, lo, species_flux
 
 PARAMS = ModelParams(1.0, 1.0, 1.0, 1.0)
 CENTRAL = SchemeOptions(advection="central")
@@ -221,12 +219,16 @@ def _composition_case(cells=(10, 11)):
 
 
 @COMPOSITION_CELLS
-def test_rhs_matches_flux_divergence_composition(cells):
+def test_rhs_matches_flux_divergence_composition(cells, monkeypatch):
+    # rhs's Laplacian is D's: its eigenvalues and both DCT plans must match
+    # the two-point face fluxes
     g, st, params = _composition_case(cells)
-    for opts in (CENTRAL, UPWIND):
-        expected = _composed_rhs(st, params, g, opts.advection)
-        for got, want in zip(rhs(st, params, g, opts), expected):
-            assert np.allclose(got, want, rtol=1e-12, atol=1e-10)
+    for full in (True, False):
+        monkeypatch.setattr(solver, "_full_plan", lambda m, n, full=full: full)
+        for opts in (CENTRAL, UPWIND):
+            expected = _composed_rhs(st, params, g, opts.advection)
+            for got, want in zip(rhs(st, params, g, opts), expected):
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-10)
 
 
 def test_composition_catches_a_swapped_upwind_cell(monkeypatch):
@@ -351,7 +353,7 @@ def test_stable_dt_rate_matches_the_reference_face_gradients(cells):
     chi = max(params.chi1, params.chi2)
     expected = params.alpha * st.u + params.beta * st.v
     for k, (gw, h) in enumerate(zip(grad_w_faces(st.w, g), g.spacing)):
-        expected += chi / h * (np.abs(gw[_lo(k, g.dim)]) + np.abs(gw[_hi(k, g.dim)]))
+        expected += chi / h * (np.abs(gw[lo(k, g.dim)]) + np.abs(gw[hi(k, g.dim)]))
     assert np.allclose(ws.rate, expected, rtol=1e-12, atol=0.0)
     assert dt == pytest.approx(0.5 / expected.max(), rel=1e-12)
 

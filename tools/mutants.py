@@ -125,6 +125,11 @@ MUTANTS = [
         "        eig = -(4.0 / h) * np.sin(modes * (np.pi / (2 * m))) ** 2\n",
     ),
     (
+        "rhs's Laplacian sums only the first axis's eigenvalues", SOLVER,
+        "        self.spectrum *= self.eigenvalues(self.scratch[0])\n",
+        "        self.spectrum *= self.axes[0].eig\n",
+    ),
+    (
         "chemotaxis tau with h where h^2 belongs", SOLVER,
         "            tau = dt / axis.h2\n",
         "            tau = dt / math.sqrt(axis.h2)\n",
@@ -198,6 +203,11 @@ MUTANTS = [
         "record_block swaps the mass_u and mass_v columns", DIAGNOSTICS,
         '    out["mass_u"], out["mass_v"] = _integrals(u, grid), _integrals(v, grid)\n',
         '    out["mass_u"], out["mass_v"] = _integrals(v, grid), _integrals(u, grid)\n',
+    ),
+    (
+        "the Dirichlet energy without its 1/h", DIAGNOSTICS,
+        "            diff /= h\n",
+        "",
     ),
     (
         "trapezoid without its 1/2", DIAGNOSTICS,
